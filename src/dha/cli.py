@@ -165,6 +165,13 @@ def _build_system(config, sigma=None, state_dim=None):
     )
 
 
+def _generate(config, system, seed_offset=0):
+    ds = config["dataset"]
+    return generate_dataset(system, n_train=ds["n_train"], n_test=ds["n_test"],
+                            horizon=ds["horizon"], init_box=ds["init_box"],
+                            seed=ds["seed"] + seed_offset)
+
+
 def _train_config(config, seed) -> TrainConfig:
     t = dict(config["training"])
     t["seed"] = seed
@@ -181,15 +188,7 @@ def cmd_synth(config: dict, out_dir=None) -> Path:
     """Generate a system + dataset directory with a summary document."""
     out = _output_dir(config, out_dir, "dataset")
     system = _build_system(config)
-    ds_cfg = config["dataset"]
-    dataset = generate_dataset(
-        system,
-        n_train=ds_cfg["n_train"],
-        n_test=ds_cfg["n_test"],
-        horizon=ds_cfg["horizon"],
-        init_box=ds_cfg["init_box"],
-        seed=ds_cfg["seed"],
-    )
+    dataset = _generate(config, system)
     save_dataset(dataset, out)
     iso = isotypic_basis(system.rep_x)
     summary = {
@@ -271,15 +270,7 @@ def _sweep_point(payload):
     sigma = value if axis == "sigma" else None
     state_dim = int(value) if axis == "state_dim" else None
     system = _build_system(config, sigma=sigma, state_dim=state_dim)
-    ds_cfg = config["dataset"]
-    dataset = generate_dataset(
-        system,
-        n_train=ds_cfg["n_train"],
-        n_test=ds_cfg["n_test"],
-        horizon=ds_cfg["horizon"],
-        init_box=ds_cfg["init_box"],
-        seed=ds_cfg["seed"] + seed,
-    )
+    dataset = _generate(config, system, seed)
     rows = []
     for variant in config["variants"]:
         tcfg = _train_config(config, seed)

@@ -1,12 +1,15 @@
-"""The commutant calculus: bases of equivariant linear maps.
+"""The commutant calculus: equivariant linear maps as block coefficients.
 
 By Schur's lemma, a linear map commuting with every group matrix is
 block-diagonal per isotypic component; inside a component it acts on copy
 indices, with scalars for absolutely irreducible irreps and the
 two-generator algebra spanned by I and the quarter-turn J for
-rotation-type ones.  This module builds explicit Frobenius-orthonormal
-bases of those maps, the group-averaging projection onto them, and the
-free-coordinate parameterization used by the equivariant model fits.
+rotation-type ones.  A map between two decomposed spaces is therefore a
+coefficient vector ``theta`` over Frobenius-orthonormal generators
+``E_jk (x) S / sqrt(d)`` (output copy ``j``, input copy ``k``, stamp ``S``
+in ``I``, ``J``).  All generators live in one sparse table of their
+nonzeros in isotypic coordinates, so assembling a map is one scatter and
+reading its coordinates one gather.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from ._util import fingerprint, frozen_array
 from .groups import Representation
-from .isotypic import IsotypicBasis, isotypic_basis
+from .isotypic import IsotypicBasis, block_diagonal_matrices
 
 __all__ = [
     "CommutantBasis",
@@ -39,6 +42,63 @@ __all__ = [
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def _stamps(irrep) -> np.ndarray:
+    """Unit-norm ``(e, d, d)`` spanning set of an irrep's endomorphisms: I, then J."""
+    stamps = [np.eye(irrep.dim)] + ([_J] if irrep.field_type == "complex" else [])
+    return np.array(stamps) / np.sqrt(irrep.dim)
+
+
+@dataclass(frozen=True)
+class _GeneratorTable:
+    """Nonzeros of ``n`` orthonormal equivariant-map generators ``B_l``.
+
+    Generator ``gen[i]`` holds ``val[i]`` at flat position ``pos[i]`` of a
+    ``shape`` matrix in isotypic coordinates; no two share a position.
+    """
+
+    gen: np.ndarray
+    pos: np.ndarray
+    val: np.ndarray
+    shape: tuple
+    n: int
+
+    def assemble(self, theta: np.ndarray) -> np.ndarray:
+        """``sum_l theta[..., l] B_l``; ``theta = I`` expands every generator."""
+        out = np.zeros(theta.shape[:-1] + (self.shape[0] * self.shape[1],))
+        out[..., self.pos] = theta[..., self.gen] * self.val
+        return out.reshape(theta.shape[:-1] + self.shape)
+
+    def coordinates(self, a: np.ndarray) -> np.ndarray:
+        return np.bincount(self.gen, a.reshape(-1)[self.pos] * self.val, minlength=self.n)
+
+
+def _generator_table(blocks_out, blocks_in) -> _GeneratorTable:
+    """Generators of the equivariant maps from ``blocks_in`` to ``blocks_out``.
+
+    Blocks pair by irrep label; generators are numbered by ``blocks_in``
+    block, output copy ``j``, input copy ``k``, then stamp (I, J).
+    """
+    dim_in = sum(blk.size for blk in blocks_in)
+    by_label = {blk.label: blk for blk in blocks_out}
+    gen, pos, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    n = 0
+    for blk_in in blocks_in:
+        blk_out = by_label.get(blk_in.label)
+        if blk_out is None:
+            continue
+        stamps = _stamps(blk_in.irrep)
+        e, d = stamps.shape[:2]
+        s, r, c = np.nonzero(stamps)
+        pair = np.arange(blk_out.multiplicity * blk_in.multiplicity)[:, None]
+        j, k = np.divmod(pair, blk_in.multiplicity)
+        gen.append((n + pair * e + s).ravel())
+        pos.append(((blk_out.offset + j * d + r) * dim_in + blk_in.offset + k * d + c).ravel())
+        val.append(np.tile(stamps[s, r, c], pair.size))
+        n += pair.size * e
+    shape = (sum(blk.size for blk in blocks_out), dim_in)
+    return _GeneratorTable(*(np.concatenate(a) for a in (gen, pos, val)), shape, n)
+
+
 @dataclass(frozen=True)
 class CommutantBasis:
     """Frobenius-orthonormal basis of the commutant of a block-diagonal rep.
@@ -49,27 +109,25 @@ class CommutantBasis:
         The representation, expressed in an isotypic basis.
     blocks : tuple of IsotypicBlock
         Block layout of ``rep``.
-    basis_matrices : ``(n, dim, dim)`` ndarray
-        Orthonormal generators under the Frobenius inner product; each one
-        commutes with every group matrix and is block-diagonal.
+    table : _GeneratorTable
+        The generators' nonzeros; each generator commutes with every group
+        matrix and is block-diagonal.
     block_slices : tuple of slice
         Coordinate range of each isotypic block's generators.
     """
 
     rep: Representation
     blocks: tuple
-    basis_matrices: np.ndarray
+    table: _GeneratorTable
     block_slices: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis_matrices", frozen_array(self.basis_matrices))
-
     def __len__(self):
-        return self.basis_matrices.shape[0]
+        return self.table.n
 
     @property
-    def dim_space(self) -> int:
-        return self.rep.dim
+    def basis_matrices(self) -> np.ndarray:
+        """The generators as a dense ``(n, dim, dim)`` stack, expanded on access."""
+        return frozen_array(self.table.assemble(np.eye(len(self))))
 
     def layout_fingerprint(self) -> str:
         layout = [
@@ -96,25 +154,6 @@ class EquivariantLinearMap:
             )
         object.__setattr__(self, "theta", theta)
 
-    def matrix(self) -> np.ndarray:
-        return assemble(self)
-
-
-def _block_generators(d: int, m: int, complex_type: bool):
-    """Generators ``E_jk (x) I`` (and ``E_jk (x) J``) scaled to unit norm."""
-    eye = np.eye(d) / np.sqrt(d)
-    gens = []
-    for j in range(m):
-        for k in range(m):
-            g = np.zeros((m * d, m * d))
-            g[j * d:(j + 1) * d, k * d:(k + 1) * d] = eye
-            gens.append(g)
-            if complex_type:
-                gj = np.zeros((m * d, m * d))
-                gj[j * d:(j + 1) * d, k * d:(k + 1) * d] = _J / np.sqrt(d)
-                gens.append(gj)
-    return gens
-
 
 def commutant_basis(rep_iso: Representation, blocks) -> CommutantBasis:
     """Basis of all maps commuting with a block-aligned representation.
@@ -124,29 +163,15 @@ def commutant_basis(rep_iso: Representation, blocks) -> CommutantBasis:
     ``sum_i m_i^2 e_i`` with ``e_i`` the irrep endomorphism dimension.
     """
     blocks = tuple(blocks)
-    expected = np.zeros((rep_iso.group.order, rep_iso.dim, rep_iso.dim))
-    for blk in blocks:
-        d = blk.irrep.dim
-        for j in range(blk.multiplicity):
-            o = blk.offset + j * d
-            expected[:, o:o + d, o:o + d] = blk.irrep.matrices
+    expected = block_diagonal_matrices(blocks, rep_iso.group.order, rep_iso.dim)
     resid = float(np.max(np.linalg.norm(rep_iso.matrices - expected, axis=(1, 2))))
     if resid > 1e-8:
         raise ValueError(
             f"representation is not block-aligned with the given layout (residual {resid:.3e})"
         )
-    mats = []
-    slices = []
-    start = 0
-    for blk in blocks:
-        gens = _block_generators(blk.irrep.dim, blk.multiplicity, blk.irrep.field_type == "complex")
-        for g in gens:
-            full = np.zeros((rep_iso.dim, rep_iso.dim))
-            full[blk.slice, blk.slice] = g
-            mats.append(full)
-        slices.append(slice(start, start + len(gens)))
-        start += len(gens)
-    return CommutantBasis(rep_iso, blocks, np.array(mats), tuple(slices))
+    ends = np.cumsum([0] + [blk.multiplicity ** 2 * blk.irrep.endomorphism_dim for blk in blocks])
+    slices = tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
+    return CommutantBasis(rep_iso, blocks, _generator_table(blocks, blocks), slices)
 
 
 def hom_basis(basis_in: IsotypicBasis, basis_out: IsotypicBasis) -> np.ndarray:
@@ -159,42 +184,21 @@ def hom_basis(basis_in: IsotypicBasis, basis_out: IsotypicBasis) -> np.ndarray:
     """
     if basis_in.group != basis_out.group:
         raise ValueError("spaces carry different groups")
-    blocks_out = {blk.label: blk for blk in basis_out.blocks}
-    gens = []
-    for blk_in in basis_in.blocks:
-        blk_out = blocks_out.get(blk_in.label)
-        if blk_out is None:
-            continue
-        d = blk_in.irrep.dim
-        stamps = [np.eye(d) / np.sqrt(d)]
-        if blk_in.irrep.field_type == "complex":
-            stamps.append(_J / np.sqrt(d))
-        for j in range(blk_out.multiplicity):
-            for k in range(blk_in.multiplicity):
-                for stamp in stamps:
-                    g = np.zeros((basis_out.dim, basis_in.dim))
-                    g[
-                        blk_out.offset + j * d:blk_out.offset + (j + 1) * d,
-                        blk_in.offset + k * d:blk_in.offset + (k + 1) * d,
-                    ] = stamp
-                    gens.append(g)
-    if not gens:
-        return np.zeros((0, basis_out.dim, basis_in.dim))
-    gens = np.array(gens)
-    return np.einsum("ji,njk,kl->nil", basis_out.q, gens, basis_in.q)
+    table = _generator_table(basis_out.blocks, basis_in.blocks)
+    return basis_out.q.T @ table.assemble(np.eye(table.n)) @ basis_in.q
 
 
 def assemble(emap: EquivariantLinearMap) -> np.ndarray:
-    """Dense matrix ``sum_l theta_l B_l`` of an equivariant map."""
-    return np.einsum("l,lij->ij", emap.theta, emap.basis.basis_matrices)
+    """Dense matrix ``sum_l theta_l B_l`` of an equivariant map (one scatter)."""
+    return emap.basis.table.assemble(emap.theta)
 
 
 def coordinates(a: np.ndarray, basis: CommutantBasis) -> np.ndarray:
-    """Frobenius coordinates ``<A, B_l>`` of a matrix over a commutant basis."""
+    """Frobenius coordinates ``<A, B_l>`` of a matrix over a commutant basis (one gather)."""
     a = np.asarray(a, dtype=np.float64)
-    if a.shape != (basis.dim_space, basis.dim_space):
-        raise ValueError(f"matrix shape {a.shape} does not match space dim {basis.dim_space}")
-    return np.einsum("lij,ij->l", basis.basis_matrices, a)
+    if a.shape != basis.table.shape:
+        raise ValueError(f"matrix shape {a.shape} does not match the commutant's {basis.table.shape}")
+    return basis.table.coordinates(a)
 
 
 def equivariant_project(a: np.ndarray, rep: Representation) -> np.ndarray:
@@ -234,12 +238,6 @@ def hom_space_dimension(rep_a: Representation, rep_b: Representation) -> int:
     svals = np.linalg.svd(system, compute_uv=False)
     tol = 1e-8 * max(1.0, svals[0] if svals.size else 0.0)
     return int(np.sum(svals <= tol)) + max(0, da * db - svals.size)
-
-
-def commutant_basis_of(rep: Representation, table=None):
-    """Convenience: isotypic basis plus commutant basis of an arbitrary rep."""
-    iso = isotypic_basis(rep, table)
-    return iso, commutant_basis(iso.rotated_rep(), iso.blocks)
 
 
 def save_equivariant_map(emap: EquivariantLinearMap, path):

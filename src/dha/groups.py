@@ -91,11 +91,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    @property
-    def exponent(self) -> int:
-        """Least common multiple of all element orders."""
-        return reduce(math.lcm, (self.element_order(a) for a in self.elements()), 1)
-
     def cyclic_factors(self) -> tuple[int, ...]:
         """Flatten the structure tag into its ordered cyclic factor sizes."""
         return _flatten_tag(self.structure_tag)
@@ -478,7 +473,7 @@ def conjugate_representation(rep: Representation, v: np.ndarray, space_label: st
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (rep.dim, rep.dim):
         raise ValueError(f"change of basis must be {rep.dim}x{rep.dim}")
-    mats = np.einsum("ij,gjk,lk->gil", v, rep.matrices, v)
+    mats = v @ rep.matrices @ v.T
     mats[0] = np.eye(rep.dim)  # exact identity; V V^T = I only to rounding
     return Representation(rep.group, mats, space_label or rep.space_label)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import fingerprint, frozen_array
-from .groups import Irrep, IrrepTable, Representation, irreps_real
+from .groups import Irrep, IrrepTable, Representation, conjugate_representation, irreps_real
 
 __all__ = [
     "DecompositionError",
@@ -88,23 +88,12 @@ class IsotypicBasis:
 
     def rotated_rep(self, space_label: str = "") -> Representation:
         """The source representation conjugated into this basis."""
-        mats = np.einsum("ij,gjk,lk->gil", self.q, self.source_rep.matrices, self.q)
-        mats[0] = np.eye(self.dim)
-        return Representation(self.group, mats, space_label or "isotypic")
-
-    def block_diagonal_matrices(self) -> np.ndarray:
-        """Exact block matrices ``(|G|, dim, dim)`` built from stored irreps."""
-        out = np.zeros((self.group.order, self.dim, self.dim))
-        for blk in self.blocks:
-            d = blk.irrep.dim
-            for j in range(blk.multiplicity):
-                o = blk.offset + j * d
-                out[:, o:o + d, o:o + d] = blk.irrep.matrices
-        return out
+        return conjugate_representation(self.source_rep, self.q, space_label or "isotypic")
 
     def conjugation_residual(self) -> float:
-        rotated = np.einsum("ij,gjk,lk->gil", self.q, self.source_rep.matrices, self.q)
-        return float(np.max(np.linalg.norm(rotated - self.block_diagonal_matrices(), axis=(1, 2))))
+        rotated = self.q @ self.source_rep.matrices @ self.q.T
+        exact = block_diagonal_matrices(self.blocks, self.group.order, self.dim)
+        return float(np.max(np.linalg.norm(rotated - exact, axis=(1, 2))))
 
     def orthogonality_residual(self) -> float:
         return float(np.linalg.norm(self.q @ self.q.T - np.eye(self.dim)))
@@ -122,6 +111,17 @@ class IsotypicBasis:
             for blk in self.blocks
         ]
         return fingerprint({"group": self.group.descriptor, "dim": self.dim, "blocks": layout})
+
+
+def block_diagonal_matrices(blocks, order: int, dim: int) -> np.ndarray:
+    """Exact ``(order, dim, dim)`` group matrices of a block layout, from stored irreps."""
+    out = np.zeros((order, dim, dim))
+    for blk in blocks:
+        d = blk.irrep.dim
+        for j in range(blk.multiplicity):
+            o = blk.offset + j * d
+            out[:, o:o + d, o:o + d] = blk.irrep.matrices
+    return out
 
 
 def character_projector(rep: Representation, irrep: Irrep) -> np.ndarray:

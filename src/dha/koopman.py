@@ -19,6 +19,7 @@ import numpy as np
 from ._util import decode_f64, encode_f64, fingerprint, fmt17
 from .commutant import (
     EquivariantLinearMap,
+    _stamps,
     assemble,
     commutant_basis,
     coordinates,
@@ -102,6 +103,11 @@ def edmd_fit(x: np.ndarray, y: np.ndarray, ridge: float | None = None) -> np.nda
         ridge = default_ridge(x)
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
+    return _ridge_lstsq(x, y, ridge)
+
+
+def _ridge_lstsq(x: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """``K`` minimizing ``||Y - K X||_F^2 + ridge ||K||_F^2``; minimum norm at ``ridge=0``."""
     if ridge == 0.0:
         kt, *_ = np.linalg.lstsq(x.T, y.T, rcond=None)
         return np.ascontiguousarray(kt.T)
@@ -119,9 +125,11 @@ def eedmd_fit(
 
     Snapshots are rotated into the isotypic basis and the operator is
     solved in the free coordinates of the commutant basis, which keeps it
-    exactly block-diagonal.  With ``ridge=0`` and full-rank group-augmented
-    data this equals the group-averaging projection of the plain
-    :func:`edmd_fit` solution on the augmented snapshots.
+    exactly block-diagonal.  The normal equations split into one
+    ``(m e) x (m e)`` system per block with ``m`` right-hand sides.
+    With ``ridge=0`` and full-rank group-augmented data this equals the
+    group-averaging projection of the plain :func:`edmd_fit` solution on
+    the augmented snapshots.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -131,14 +139,14 @@ def eedmd_fit(
         ridge = default_ridge(x)
     cbasis = commutant_basis(basis.rotated_rep(), basis.blocks)
     xr, yr = basis.q @ x, basis.q @ y
-    bx = np.einsum("lij,jn->lin", cbasis.basis_matrices, xr)
-    gram = np.einsum("lin,kin->lk", bx, bx) + ridge * np.eye(len(cbasis))
-    rhs = np.einsum("lin,in->l", bx, yr)
-    if ridge == 0.0:
-        theta, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    else:
-        theta = np.linalg.solve(gram, rhs)
-    return EquivariantLinearMap(cbasis, theta)
+    theta = []
+    for blk in basis.blocks:
+        stamps, m = _stamps(blk.irrep), blk.multiplicity
+        # Regressor (k, s) is stamp s applied to input copy k; samples are (row, snapshot).
+        z = np.einsum("src,kcn->ksrn", stamps, xr[blk.slice].reshape(m, blk.irrep.dim, -1))
+        z = z.reshape(m * len(stamps), -1)
+        theta.append(_ridge_lstsq(z, yr[blk.slice].reshape(m, -1), ridge).reshape(-1))
+    return EquivariantLinearMap(cbasis, np.concatenate(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +202,6 @@ class KoopmanModel:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.k_matrix))))
 
-    @property
-    def diverging(self) -> bool:
-        """Flag for latent dynamics with spectral radius above 1.05."""
-        return self.spectral_radius > 1.05
-
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.variant in ("edmd", "eedmd"):
@@ -215,12 +218,10 @@ class KoopmanModel:
     def refresh_k(self):
         """Re-assemble the dense operator after a ``k_map`` coordinate update."""
         if self.k_map is not None:
-            k_iso = assemble(self.k_map)
-            if self.variant == "eedmd":
-                q = self.feature_iso.q
-                self.k_matrix = q.T @ k_iso @ q
-            else:
-                self.k_matrix = k_iso
+            k = assemble(self.k_map)
+            if self.feature_iso is not None:
+                k = self.feature_iso.q.T @ k @ self.feature_iso.q
+            self.k_matrix = k
 
 
 def _features(x: np.ndarray, observable: str) -> np.ndarray:
@@ -370,7 +371,6 @@ def _build_autoencoder(variant, rep_x, config, rng):
 def _closed_form_model(variant, dataset, config) -> KoopmanModel:
     x, y = snapshot_pairs(dataset)
     fx, fy = _features(x.T, config.observable).T, _features(y.T, config.observable).T
-    rep_f = _feature_rep(dataset.rep_x, config.observable)
     if variant == "edmd":
         k = edmd_fit(fx, fy, config.ridge)
         model = KoopmanModel(
@@ -378,7 +378,7 @@ def _closed_form_model(variant, dataset, config) -> KoopmanModel:
             observable=config.observable, config=config,
         )
     else:
-        iso = isotypic_basis(rep_f)
+        iso = isotypic_basis(_feature_rep(dataset.rep_x, config.observable))
         emap = eedmd_fit(fx, fy, iso, config.ridge)
         model = KoopmanModel(
             variant, dataset.rep_x, fx.shape[0], np.zeros((fx.shape[0],) * 2),
@@ -450,8 +450,7 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
         variant, rep_x, L, np.eye(L), encoder=encoder, decoder=decoder,
         k_map=k_map, latent_iso=latent_iso, config=config,
     )
-    if k_map is not None:
-        model.refresh_k()
+    model.refresh_k()
 
     windows = _windows(dataset, "train", config.horizon)
     if config.max_windows is not None and config.max_windows < windows.shape[0]:
@@ -488,7 +487,7 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
                 raise
             grads_enc, grads_dec, dk = grads
             if model.k_map is not None:
-                dk = np.tensordot(model.k_map.basis.basis_matrices, dk, axes=([1, 2], [0, 1]))
+                dk = coordinates(dk, model.k_map.basis)
             try:
                 params, state = adam_step(
                     params, grads_enc + grads_dec + [dk], state, lr=config.lr
@@ -617,23 +616,26 @@ def load_model(path) -> KoopmanModel:
     rep_x = rep_from_descriptor(header["rep_x"])
     config = TrainConfig(**header["config"]) if header["config"] else TrainConfig()
     variant = header["variant"]
-    if variant in ("edmd", "eedmd"):
-        if variant == "edmd":
-            k = decode_f64(doc["k_payload"]["data"], (header["latent_dim"],) * 2)
-            model = KoopmanModel(variant, rep_x, header["latent_dim"], k,
-                                 observable=header["observable"], config=config)
-        else:
-            iso = isotypic_basis(_feature_rep(rep_x, header["observable"]))
-            cbasis = commutant_basis(iso.rotated_rep(), iso.blocks)
-            if cbasis.layout_fingerprint() != header["basis_fingerprint"]:
-                raise ValueError("checkpoint block layout does not match the rebuilt basis")
-            theta = decode_f64(doc["k_payload"]["data"])
-            model = KoopmanModel(variant, rep_x, header["latent_dim"],
-                                 np.zeros((header["latent_dim"],) * 2),
-                                 observable=header["observable"],
-                                 k_map=EquivariantLinearMap(cbasis, theta),
-                                 feature_iso=iso, config=config)
-            model.refresh_k()
+    k_data = doc["k_payload"]["data"]
+
+    def checked_theta(cbasis):
+        if cbasis.layout_fingerprint() != header["basis_fingerprint"]:
+            raise ValueError("checkpoint block layout does not match the rebuilt basis")
+        return decode_f64(k_data)
+
+    if variant == "edmd":
+        k = decode_f64(k_data, (header["latent_dim"],) * 2)
+        model = KoopmanModel(variant, rep_x, header["latent_dim"], k,
+                             observable=header["observable"], config=config)
+    elif variant == "eedmd":
+        iso = isotypic_basis(_feature_rep(rep_x, header["observable"]))
+        cbasis = commutant_basis(iso.rotated_rep(), iso.blocks)
+        model = KoopmanModel(variant, rep_x, header["latent_dim"],
+                             np.zeros((header["latent_dim"],) * 2),
+                             observable=header["observable"],
+                             k_map=EquivariantLinearMap(cbasis, checked_theta(cbasis)),
+                             feature_iso=iso, config=config)
+        model.refresh_k()
     else:
         rng = np.random.default_rng(config.seed)
         encoder, decoder, k_map, latent_iso = _build_autoencoder(variant, rep_x, config, rng)
@@ -641,12 +643,9 @@ def load_model(path) -> KoopmanModel:
                              encoder=encoder, decoder=decoder, k_map=k_map,
                              latent_iso=latent_iso, config=config)
         if k_map is not None:
-            if k_map.basis.layout_fingerprint() != header["basis_fingerprint"]:
-                raise ValueError("checkpoint block layout does not match the rebuilt basis")
-            theta = decode_f64(doc["k_payload"]["data"])
-            k_param = theta
+            k_param = checked_theta(k_map.basis)
         else:
-            k_param = decode_f64(doc["k_payload"]["data"], (config.latent_dim,) * 2)
+            k_param = decode_f64(k_data, (config.latent_dim,) * 2)
         flat = decode_f64(doc["net_params"])
         params = []
         pos = 0

@@ -1,7 +1,7 @@
 """Minimal feed-forward networks with exact reverse-mode gradients.
 
 Two layer kinds: plain dense layers, and equivariant layers whose weight
-lives in the span of an equivariant-map basis (coordinates ``theta``) and
+is stored as block coefficients ``theta`` over a generator table and
 whose bias is constrained to the trivial isotypic component.  Hidden
 equivariant layers act on stacks of regular-representation copies in the
 group-element basis, where the pointwise ``tanh`` commutes with the
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import hom_basis
+from .commutant import _GeneratorTable, _generator_table
 from .groups import Representation, regular_rep_copies
 from .isotypic import IsotypicBasis, isotypic_basis
 
@@ -65,9 +65,11 @@ class Layer:
     """One affine-plus-activation layer.
 
     ``kind == "dense"`` uses ``weight``/``bias`` directly as parameters.
-    ``kind == "equivariant"`` parameterizes the weight as
-    ``sum_l theta_l basis[l]`` and the bias as ``bias_basis @ beta`` so
-    equivariance holds structurally for any parameter values.
+    ``kind == "equivariant"`` stores coordinates ``theta`` over the
+    equivariant-map generator ``table``, so the weight is
+    ``q_out.T @ table.assemble(theta) @ q_in`` (isotypic changes of basis
+    ``q_in``/``q_out``), and the bias is ``bias_basis @ beta``; equivariance
+    holds structurally for any parameter values.
     """
 
     kind: str
@@ -75,29 +77,29 @@ class Layer:
     weight: np.ndarray | None = None
     bias: np.ndarray | None = None
     theta: np.ndarray | None = None
-    basis: np.ndarray | None = field(default=None, repr=False)
+    table: _GeneratorTable | None = field(default=None, repr=False)
+    q_in: np.ndarray | None = field(default=None, repr=False)
+    q_out: np.ndarray | None = field(default=None, repr=False)
     beta: np.ndarray | None = None
     bias_basis: np.ndarray | None = field(default=None, repr=False)
 
     def weight_matrix(self) -> np.ndarray:
         if self.kind == "dense":
             return self.weight
-        return np.tensordot(self.theta, self.basis, axes=1)
+        return self.q_out.T @ self.table.assemble(self.theta) @ self.q_in
 
     def bias_vector(self) -> np.ndarray:
         if self.kind == "dense":
             return self.bias
-        if self.bias_basis.shape[1] == 0:
-            return np.zeros(self.basis.shape[1])
         return self.bias_basis @ self.beta
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1] if self.kind == "dense" else self.basis.shape[2]
+        return self.weight.shape[1] if self.kind == "dense" else self.q_in.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0] if self.kind == "dense" else self.basis.shape[1]
+        return self.weight.shape[0] if self.kind == "dense" else self.q_out.shape[1]
 
     def parameters(self):
         if self.kind == "dense":
@@ -166,14 +168,16 @@ class Network:
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input width {x.shape[1]} does not match {self.in_dim}")
         h = x if self.input_transform is None else x @ self.input_transform.T
+        weights = [layer.weight_matrix() for layer in self.layers]
         inputs, outputs = [], []
-        for layer in self.layers:
+        for layer, w in zip(self.layers, weights):
             inputs.append(h)
-            z = h @ layer.weight_matrix().T + layer.bias_vector()
+            z = h @ w.T + layer.bias_vector()
             h = _act(layer.activation, z)
             outputs.append(h)
         y = h if self.output_transform is None else h @ self.output_transform.T
-        cache = {"version": self._version, "inputs": inputs, "outputs": outputs, "squeeze": squeeze}
+        cache = {"version": self._version, "weights": weights, "inputs": inputs,
+                 "outputs": outputs, "squeeze": squeeze}
         return (y[0] if squeeze else y), cache
 
     def backward(self, cache, output_cotangent: np.ndarray):
@@ -194,15 +198,12 @@ class Network:
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             gz = g * _act_grad_from_output(layer.activation, cache["outputs"][i])
-            gw = gz.T @ cache["inputs"][i]
-            gb = gz.sum(axis=0)
-            if layer.kind == "dense":
-                grads[2 * i] = gw
-                grads[2 * i + 1] = gb
-            else:
-                grads[2 * i] = np.tensordot(layer.basis, gw, axes=([1, 2], [0, 1]))
-                grads[2 * i + 1] = layer.bias_basis.T @ gb
-            g = gz @ layer.weight_matrix()
+            gw, gb = gz.T @ cache["inputs"][i], gz.sum(axis=0)
+            if layer.kind == "equivariant":
+                gw = layer.table.coordinates(layer.q_out @ gw @ layer.q_in.T)
+                gb = layer.bias_basis.T @ gb
+            grads[2 * i], grads[2 * i + 1] = gw, gb
+            g = gz @ cache["weights"][i]
         if self.input_transform is not None:
             g = g @ self.input_transform
         return grads, (g[0] if cache["squeeze"] else g)
@@ -238,13 +239,13 @@ def _trivial_basis(iso: IsotypicBasis) -> np.ndarray:
 
 
 def _equivariant_layer(basis_in, basis_out, activation, rng) -> Layer:
-    hb = hom_basis(basis_in, basis_out)
+    table = _generator_table(basis_out.blocks, basis_in.blocks)
     seed = _glorot(rng, basis_out.dim, basis_in.dim)
-    theta = np.tensordot(hb, seed, axes=([1, 2], [0, 1])) if len(hb) else np.zeros(0)
     trivial = _trivial_basis(basis_out)
     return Layer(
         "equivariant", activation,
-        theta=theta, basis=hb,
+        theta=table.coordinates(basis_out.q @ seed @ basis_in.q.T),
+        table=table, q_in=basis_in.q, q_out=basis_out.q,
         beta=np.zeros(trivial.shape[1]), bias_basis=trivial,
     )
 
@@ -262,8 +263,9 @@ def equivariant_net(
     """Equivariant network ``rep_in -> regular-copy hiddens -> rep_out``.
 
     Hidden widths must be multiples of the group order.  ``theta`` is
-    initialized by projecting a Glorot-uniform dense weight onto the
-    equivariant-map basis, matching the variance of the dense baseline.
+    initialized with the coordinates of a Glorot-uniform dense weight over
+    the equivariant-map generators, matching the variance of the dense
+    baseline.
     """
     group = rep_in.group
     chain = [isotypic_basis(rep_in)]

@@ -407,19 +407,37 @@ def save_dataset(dataset: TrajectoryDataset, directory):
         (directory / f"traj_{i:05d}.csv").write_text("\n".join(lines) + "\n")
 
 
+def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> TrajectoryDataset:
+    """Parse the ``traj_*.csv`` files a manifest names into a dataset.
+
+    Each file must hold a header and ``horizon + 1`` rows of ``dim + 1``
+    finite numbers, with one split tag per trajectory; malformed input
+    raises ``ValueError`` and a missing file ``OSError``.
+    """
+    n, dim, horizon = (int(manifest[k]) for k in ("n_trajectories", "dim", "horizon"))
+    if len(splits) != n:
+        raise ValueError(f"{len(splits)} split tags for {n} trajectories")
+    trajs = np.empty((n, horizon + 1, dim))
+    for i in range(n):
+        name = f"traj_{i:05d}.csv"
+        rows = [line.split(",") for line in (directory / name).read_text().strip().splitlines()[1:]]
+        widths = sorted({len(row) for row in rows})
+        if len(rows) != horizon + 1 or widths != [dim + 1]:
+            raise ValueError(f"{name}: {len(rows)} rows of {widths} columns, "
+                             f"expected {horizon + 1} rows of {dim + 1}")
+        try:
+            trajs[i] = np.array(rows, dtype=np.float64)[:, 1:]
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
+    return TrajectoryDataset(trajs, tuple(splits), rep, float(dt), manifest.get("provenance", {}))
+
+
 def load_dataset(directory) -> TrajectoryDataset:
+    """Read a dataset written by :func:`save_dataset`; malformed files raise ``ValueError``."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    n, dim, horizon = manifest["n_trajectories"], manifest["dim"], manifest["horizon"]
-    trajs = np.zeros((n, horizon + 1, dim))
-    for i in range(n):
-        text = (directory / f"traj_{i:05d}.csv").read_text().strip().splitlines()
-        for t, line in enumerate(text[1:]):
-            trajs[i, t] = [float(v) for v in line.split(",")[1:]]
-    rep = rep_from_descriptor(manifest["rep_x"])
-    return TrajectoryDataset(
-        trajs, tuple(manifest["splits"]), rep, float(manifest["dt"]), manifest.get("provenance", {})
-    )
+    return _read_dataset(directory, manifest, rep_from_descriptor(manifest["rep_x"]),
+                         manifest["splits"], manifest["dt"])
 
 
 def import_trajectories(directory, rep_x: Representation | dict, splits=None) -> TrajectoryDataset:
@@ -432,13 +450,8 @@ def import_trajectories(directory, rep_x: Representation | dict, splits=None) ->
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     rep = rep_x if isinstance(rep_x, Representation) else rep_from_descriptor(rep_x)
-    n, dim, horizon = manifest["n_trajectories"], manifest["dim"], manifest["horizon"]
-    if rep.dim != dim:
-        raise ValueError(f"representation dim {rep.dim} does not match recorded width {dim}")
-    trajs = np.zeros((n, horizon + 1, dim))
-    for i in range(n):
-        text = (directory / f"traj_{i:05d}.csv").read_text().strip().splitlines()
-        for t, line in enumerate(text[1:]):
-            trajs[i, t] = [float(v) for v in line.split(",")[1:]]
-    tags = tuple(splits) if splits is not None else tuple(manifest.get("splits", ["test"] * n))
-    return TrajectoryDataset(trajs, tags, rep, float(manifest.get("dt", 1.0)), manifest.get("provenance", {}))
+    if rep.dim != manifest["dim"]:
+        raise ValueError(f"representation dim {rep.dim} does not match recorded width {manifest['dim']}")
+    if splits is None:
+        splits = manifest.get("splits", ["test"] * int(manifest["n_trajectories"]))
+    return _read_dataset(directory, manifest, rep, splits, manifest.get("dt", 1.0))

@@ -185,3 +185,37 @@ def test_fit_neural_variant_through_cli(tmp_path):
     assert any(eval_dir.glob("mse_edae_seed0.json"))
     spec_dir = cmd_spectra(model_file, out_dir=tmp_path / "sp")
     assert any(spec_dir.glob("spectrum_edae_seed0.json"))
+
+
+def _corrupt(data_dir, case):
+    """Damage one trajectory file of a saved dataset in the named way."""
+    path = data_dir / "traj_00001.csv"
+    lines = path.read_text().splitlines()
+    if case == "missing_file":
+        path.unlink()
+        return
+    if case == "truncated":
+        lines = lines[:-5]
+    elif case == "extra_row":
+        lines.append(lines[-1])
+    elif case == "short_row":
+        lines[3] = lines[3].rsplit(",", 1)[0]
+    elif case == "non_numeric":
+        lines[3] = lines[3].replace(",", ",abc,", 1).rsplit(",", 1)[0]
+    elif case == "nan":
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "case, code, message",
+    [("truncated", 2, "traj_00001.csv"), ("extra_row", 2, "traj_00001.csv"),
+     ("short_row", 2, "traj_00001.csv"), ("non_numeric", 2, "traj_00001.csv"),
+     ("nan", 2, "non-finite"), ("missing_file", 4, "traj_00001.csv")],
+)
+def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
+    cfg = load_config(write_config(tmp_path, variants=["edmd"]))
+    data_dir = cmd_synth(cfg)
+    _corrupt(data_dir, case)
+    assert main(["decompose", str(data_dir), "--out", str(tmp_path / "dec")]) == code
+    assert message in capsys.readouterr().err
