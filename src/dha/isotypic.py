@@ -156,6 +156,13 @@ def _projector_rank(p: np.ndarray) -> int:
     return int(np.sum(eigs > 0.5))
 
 
+#: Bases computed with the default irrep table, keyed on the group (its
+#: descriptor tree and composition table), the space label and the matrix
+#: bytes; least recently used entries are dropped beyond ``_BASIS_CACHE_SIZE``.
+_BASIS_CACHE: dict = {}
+_BASIS_CACHE_SIZE = 16
+
+
 def isotypic_basis(rep: Representation, table: IrrepTable | None = None) -> IsotypicBasis:
     """Compute an isotypic basis of ``rep``.
 
@@ -169,9 +176,27 @@ def isotypic_basis(rep: Representation, table: IrrepTable | None = None) -> Isot
     ------
     DecompositionError
         If the conjugation residual exceeds 1e-6 after refinement.
+
+    Notes
+    -----
+    With the default irrep table (``table=None``) results are memoized: an
+    equal representation gets the same basis object as the first call.
     """
-    if table is None:
-        table = irreps_real(rep.group)
+    if table is not None:
+        return _compute_isotypic_basis(rep, table)
+    group = rep.group
+    key = (group.structure_tag, group.compose_table.tobytes(), rep.space_label,
+           rep.matrices.tobytes())
+    basis = _BASIS_CACHE.pop(key, None)
+    if basis is None:
+        basis = _compute_isotypic_basis(rep, irreps_real(group))
+    _BASIS_CACHE[key] = basis
+    if len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
+        del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
+    return basis
+
+
+def _compute_isotypic_basis(rep: Representation, table: IrrepTable) -> IsotypicBasis:
     if table.group != rep.group:
         raise ValueError("irrep table belongs to a different group")
     dim = rep.dim

@@ -165,14 +165,39 @@ def system_noise(system: SymmetricLinearSystem, steps: int, noise_seed: int) -> 
     ``noise_seed`` at counter block ``t``, so any step is reproducible
     independently of generation order and the sequence can be transformed
     (e.g. group-transported) before being replayed through ``rollout``.
+    These are the per-step blocks the batched simulator behind
+    :func:`rollout` and :func:`generate_dataset` adds.
     """
     out = np.zeros((steps, system.dim))
-    if system.sigma == 0.0:
-        return out
-    for t in range(steps):
-        gen = np.random.Generator(np.random.Philox(key=noise_seed, counter=[0, 0, t, 0]))
-        out[t] = system.sigma * gen.standard_normal(system.dim)
+    for t, block in enumerate(_noise_blocks([noise_seed], steps, system.dim, system.sigma)):
+        out[t] = block[0]
     return out
+
+
+def _noise_blocks(keys, steps: int, dim: int, sigma: float):
+    """Yield the ``(len(keys), dim)`` noise block of each step ``t < steps``.
+
+    Row ``i`` of block ``t`` is ``sigma`` times ``dim`` standard normals from
+    the Philox stream keyed by ``keys[i]`` at counter ``[0, 0, t, 0]``.  One
+    bit generator is reused and its state reset before every draw, which
+    yields the same bits as a fresh generator per (trajectory, step).
+    """
+    block = np.zeros((len(keys), dim))
+    if sigma == 0.0:
+        for _ in range(steps):
+            yield block
+        return
+    words = [np.random.Philox(key=key).state["state"]["key"] for key in keys]
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    for t in range(steps):
+        state["state"]["counter"] = np.array([0, 0, t, 0], dtype=np.uint64)
+        for i, key in enumerate(words):
+            state["state"]["key"] = key
+            bits.state = state
+            gen.standard_normal(out=block[i])
+        yield sigma * block
 
 
 def _project_constraints(x, C, c, max_passes: int = 8):
@@ -195,6 +220,36 @@ def _project_constraints(x, C, c, max_passes: int = 8):
     return x
 
 
+def _simulate(system: SymmetricLinearSystem, x0: np.ndarray, steps: int, noise) -> np.ndarray:
+    """Advance the rows of ``x0`` together; returns ``(n, steps + 1, dim)``.
+
+    ``noise`` yields one ``(n, dim)`` block per step.  A step is
+    ``x <- A x + eps_t`` for all rows at once through a stacked ``matmul``,
+    which is bitwise equal to ``A @ x`` row by row.  The batched constraint
+    gaps only screen rows: a row whose gaps come within a margin of
+    violation (far above the rounding difference to a per-row product) goes
+    through the sequential projection, so the projection makes the same
+    decisions with the same arithmetic as for a single trajectory.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    x = np.array(x0, dtype=np.float64)
+    if not all(system.feasible(row) for row in x):
+        raise InfeasibilityError("initial state violates the constraints")
+    trajs = np.empty((x.shape[0], steps + 1, system.dim))
+    trajs[:, 0] = x
+    C, c = system.constraint_rows, system.constraint_offsets
+    c_norm1 = np.abs(C).sum(axis=1)
+    for t, eps in enumerate(noise):
+        x = np.matmul(system.a, x[..., None])[..., 0] + eps
+        if C.shape[0]:
+            margin = 1e-9 * (1.0 + np.abs(x).max(axis=1, keepdims=True) * c_norm1 + np.abs(c))
+            for i in np.flatnonzero(~np.all(x @ C.T - c >= margin, axis=1)):
+                x[i] = _project_constraints(x[i], C, c)
+        trajs[:, t + 1] = x
+    return trajs
+
+
 def rollout(
     system: SymmetricLinearSystem,
     x0: np.ndarray,
@@ -207,26 +262,21 @@ def rollout(
     Violated constraint rows are handled after each step by projection onto
     the offending half-space, iterated in row order for at most 8 passes.
     Pass ``noise`` to override the seeded stream (same shape as
-    :func:`system_noise` returns).
+    :func:`system_noise` returns).  This is the one-trajectory case of the
+    batched simulator :func:`generate_dataset` uses, so a rollout equals the
+    dataset trajectory with the same initial state and noise key bit for bit.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (system.dim,):
         raise ValueError(f"initial state must have length {system.dim}")
-    if not system.feasible(x0):
-        raise InfeasibilityError("initial state violates the constraints")
-    eps = system_noise(system, steps, noise_seed) if noise is None else np.asarray(noise)
-    if eps.shape != (steps, system.dim):
-        raise ValueError(f"noise must have shape ({steps}, {system.dim})")
-    traj = np.zeros((steps + 1, system.dim))
-    traj[0] = x0
-    C, c = system.constraint_rows, system.constraint_offsets
-    x = x0
-    for t in range(steps):
-        x = system.a @ x + eps[t]
-        if C.shape[0]:
-            x = _project_constraints(x, C, c)
-        traj[t + 1] = x
-    return traj
+    if noise is None:
+        blocks = _noise_blocks([noise_seed], steps, system.dim, system.sigma)
+    else:
+        eps = np.asarray(noise)
+        if eps.shape != (steps, system.dim):
+            raise ValueError(f"noise must have shape ({steps}, {system.dim})")
+        blocks = (eps[t:t + 1] for t in range(steps))
+    return _simulate(system, x0[None], steps, blocks)[0]
 
 
 def orbit_representative(x: np.ndarray, rep_x: Representation):
@@ -312,6 +362,11 @@ def generate_dataset(
     their canonical orbit representative, confining them to one quotient
     copy; test initial states are left untouched so they cover all copies.
     The last ~10% of training trajectories are re-tagged as validation.
+
+    All trajectories advance together, one step at a time.  Trajectory
+    ``i`` keeps its own Philox noise key and draws step ``t`` at counter
+    block ``t``, so it equals ``rollout(system, x0_i, horizon,
+    noise_seed=key_i)`` bit for bit.
     """
     if n_train < 1 or n_test < 0:
         raise ValueError("need at least one training trajectory")
@@ -322,16 +377,12 @@ def generate_dataset(
         low, high = (np.asarray(v, dtype=np.float64) for v in init_box)
     rng_train = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     rng_test = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    trajs = np.zeros((n_train + n_test, horizon + 1, m))
-    for i in range(n_train):
-        x0 = _draw_feasible(rng_train, system, low, high)
-        _, x0 = orbit_representative(x0, system.rep_x)
-        trajs[i] = rollout(system, x0, horizon, noise_seed=_traj_noise_key(seed, i))
-    for i in range(n_test):
-        x0 = _draw_feasible(rng_test, system, low, high)
-        trajs[n_train + i] = rollout(
-            system, x0, horizon, noise_seed=_traj_noise_key(seed, n_train + i)
-        )
+    x0 = [orbit_representative(_draw_feasible(rng_train, system, low, high), system.rep_x)[1]
+          for _ in range(n_train)]
+    x0 += [_draw_feasible(rng_test, system, low, high) for _ in range(n_test)]
+    keys = [_traj_noise_key(seed, i) for i in range(n_train + n_test)]
+    trajs = _simulate(system, np.reshape(x0, (len(keys), m)), horizon,
+                      _noise_blocks(keys, horizon, m, system.sigma))
     n_val = min(n_train - 1, max(1, round(0.1 * n_train))) if n_train >= 2 else 0
     splits = (
         ["train"] * (n_train - n_val) + ["val"] * n_val + ["test"] * n_test
@@ -385,7 +436,9 @@ def save_dataset(dataset: TrajectoryDataset, directory):
     """Write ``manifest.json`` plus one CSV per trajectory.
 
     CSV header is ``t,x0,x1,...``; floats carry 17 significant digits so
-    the round trip is bit exact.  Output bytes are deterministic.
+    the round trip is bit exact.  Output bytes are deterministic.  Each row
+    is formatted with one ``%d,%.17g,...`` template, whose text equals
+    ``fmt17`` of every value.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -400,10 +453,9 @@ def save_dataset(dataset: TrajectoryDataset, directory):
     }
     (directory / "manifest.json").write_text(canonical_json(manifest))
     header = "t," + ",".join(f"x{j}" for j in range(dataset.dim))
-    for i in range(dataset.n_trajectories):
-        lines = [header]
-        for t in range(dataset.horizon + 1):
-            lines.append(f"{t}," + ",".join(fmt17(v) for v in dataset.trajectories[i, t]))
+    row = "%d," + ",".join(["%.17g"] * dataset.dim)
+    for i, traj in enumerate(dataset.trajectories):
+        lines = [header] + [row % (t, *values) for t, values in enumerate(traj.tolist())]
         (directory / f"traj_{i:05d}.csv").write_text("\n".join(lines) + "\n")
 
 
@@ -420,13 +472,14 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
     trajs = np.empty((n, horizon + 1, dim))
     for i in range(n):
         name = f"traj_{i:05d}.csv"
-        rows = [line.split(",") for line in (directory / name).read_text().strip().splitlines()[1:]]
-        widths = sorted({len(row) for row in rows})
+        rows = (directory / name).read_text().strip().splitlines()[1:]
+        widths = sorted({row.count(",") + 1 for row in rows})
         if len(rows) != horizon + 1 or widths != [dim + 1]:
             raise ValueError(f"{name}: {len(rows)} rows of {widths} columns, "
                              f"expected {horizon + 1} rows of {dim + 1}")
+        # The shape is checked above: loadtxt alone would skip blank lines.
         try:
-            trajs[i] = np.array(rows, dtype=np.float64)[:, 1:]
+            trajs[i] = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)[:, 1:]
         except ValueError as err:
             raise ValueError(f"{name}: {err}") from None
     return TrajectoryDataset(trajs, tuple(splits), rep, float(dt), manifest.get("provenance", {}))

@@ -204,6 +204,15 @@ def _corrupt(data_dir, case):
         lines[3] = lines[3].replace(",", ",abc,", 1).rsplit(",", 1)[0]
     elif case == "nan":
         lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    elif case == "header_only":
+        lines = lines[:1]
+    elif case == "blank_line":
+        lines.insert(4, "")
+    elif case == "trailing_comma":
+        lines[3] += ","
+    elif case == "empty":
+        path.write_text("")
+        return
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -211,7 +220,9 @@ def _corrupt(data_dir, case):
     "case, code, message",
     [("truncated", 2, "traj_00001.csv"), ("extra_row", 2, "traj_00001.csv"),
      ("short_row", 2, "traj_00001.csv"), ("non_numeric", 2, "traj_00001.csv"),
-     ("nan", 2, "non-finite"), ("missing_file", 4, "traj_00001.csv")],
+     ("nan", 2, "non-finite"), ("missing_file", 4, "traj_00001.csv"),
+     ("empty", 2, "traj_00001.csv"), ("header_only", 2, "traj_00001.csv"),
+     ("blank_line", 2, "traj_00001.csv"), ("trailing_comma", 2, "traj_00001.csv")],
 )
 def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
     cfg = load_config(write_config(tmp_path, variants=["edmd"]))

@@ -291,3 +291,47 @@ def test_decomposition_failure_carries_residual():
     with pytest.raises(DecompositionError) as err:
         isotypic_basis(broken)
     assert err.value.residual is not None and err.value.residual > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Memoized default-table bases
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("descriptor", ["C3", "C2xC2", "C2xC2xC2"])
+def test_cached_basis_equals_fresh_computation(descriptor):
+    from dha.groups import Representation
+
+    group = group_from_descriptor(descriptor)
+    rng = np.random.default_rng(4)
+    table = irreps_real(group)
+    rep, _ = scrambled_sum(group, table, [2] * len(table), rng)
+    first = isotypic_basis(rep)
+    # An equal but distinct representation object hits the cache.
+    hit = isotypic_basis(Representation(group, np.array(rep.matrices), rep.space_label))
+    assert hit is first
+    fresh = isotypic_basis(rep, table=irreps_real(group))
+    assert fresh is not hit
+    assert hit.q.tobytes() == fresh.q.tobytes()
+    assert [(b.label, b.multiplicity, b.offset) for b in hit.blocks] == [
+        (b.label, b.multiplicity, b.offset) for b in fresh.blocks]
+    assert hit.tolerance_report == fresh.tolerance_report
+    assert hit.layout_fingerprint() == fresh.layout_fingerprint()
+
+
+def test_basis_cache_tells_representations_apart():
+    from dha.groups import Representation
+    from dha.isotypic import _BASIS_CACHE, _BASIS_CACHE_SIZE
+
+    group = make_cyclic(4)
+    rep = regular_representation(group)
+    base = isotypic_basis(rep)
+    relabelled = isotypic_basis(Representation(group, rep.matrices, "other"))
+    assert relabelled is not base and relabelled.source_rep.space_label == "other"
+    v = random_orthogonal(np.random.default_rng(1), 4)
+    moved = conjugate_representation(rep, v, rep.space_label)
+    assert isotypic_basis(moved).source_rep is moved
+    rng = np.random.default_rng(2)
+    for _ in range(_BASIS_CACHE_SIZE + 3):
+        isotypic_basis(conjugate_representation(rep, random_orthogonal(rng, 4)))
+    assert len(_BASIS_CACHE) == _BASIS_CACHE_SIZE
