@@ -295,7 +295,7 @@ def _batch_loss_and_grads(encoder, decoder, k_mat, windows, gamma, need_grads=Tr
     zhat = np.empty_like(z)
     zhat[:, 0] = z[:, 0]
     for h in range(1, hp1):
-        zhat[:, h] = zhat[:, h - 1] @ k_mat.T
+        np.matmul(zhat[:, h - 1], k_mat.T, out=zhat[:, h])
     xhat_flat, dec_cache = decoder.forward(zhat.reshape(B * hp1, L))
     xhat = xhat_flat.reshape(B, hp1, m)
     r = xhat - windows
@@ -309,7 +309,7 @@ def _batch_loss_and_grads(encoder, decoder, k_mat, windows, gamma, need_grads=Tr
     if not need_grads:
         return loss, recon, latent, None
     grads_dec, d_zhat_flat = decoder.backward(dec_cache, (2.0 / B) * r.reshape(B * hp1, m))
-    d_zhat = d_zhat_flat.reshape(B, hp1, L).copy()
+    d_zhat = d_zhat_flat.reshape(B, hp1, L)
     d_zhat[:, 1:] += (2.0 * gamma / B) * s[:, 1:]
     dk = np.zeros_like(k_mat)
     a = d_zhat[:, H].copy()
@@ -479,19 +479,12 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
                 rho = rep_x.matrices[g_ids[batch_idx]]
                 batch = np.einsum("bij,bhj->bhi", rho, batch)
             try:
-                loss, recon, latent, grads = _batch_loss_and_grads(
+                loss, recon, latent, (grads_enc, grads_dec, dk) = _batch_loss_and_grads(
                     model.encoder, model.decoder, model.k_matrix, batch, gamma
                 )
-            except TrainingDivergenceError as err:
-                err.checkpoint = best["params"]
-                raise
-            grads_enc, grads_dec, dk = grads
-            if model.k_map is not None:
-                dk = coordinates(dk, model.k_map.basis)
-            try:
-                params, state = adam_step(
-                    params, grads_enc + grads_dec + [dk], state, lr=config.lr
-                )
+                if model.k_map is not None:
+                    dk = coordinates(dk, model.k_map.basis)
+                params, state = adam_step(params, grads_enc + grads_dec + [dk], state, lr=config.lr)
             except TrainingDivergenceError as err:
                 err.checkpoint = best["params"]
                 raise

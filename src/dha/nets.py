@@ -45,21 +45,6 @@ class TrainingDivergenceError(RuntimeError):
         self.checkpoint = checkpoint
 
 
-def _act(name, z):
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_grad_from_output(name, out):
-    # tanh' expressed through the cached output: 1 - tanh(z)^2.
-    if name == "tanh":
-        return 1.0 - out * out
-    return np.ones_like(out)
-
-
 @dataclass
 class Layer:
     """One affine-plus-activation layer.
@@ -160,7 +145,10 @@ class Network:
         return int(sum(p.size for p in self.parameters()))
 
     def forward(self, x: np.ndarray):
-        """Evaluate on ``(batch, in_dim)`` input; returns ``(y, cache)``."""
+        """Evaluate on ``(batch, in_dim)`` input; returns ``(y, cache)``.
+
+        Each layer adds its bias and applies ``tanh`` in place on ``h @ w.T``.
+        """
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
@@ -172,8 +160,12 @@ class Network:
         inputs, outputs = [], []
         for layer, w in zip(self.layers, weights):
             inputs.append(h)
-            z = h @ w.T + layer.bias_vector()
-            h = _act(layer.activation, z)
+            h = h @ w.T
+            h += layer.bias_vector()
+            if layer.activation == "tanh":
+                np.tanh(h, out=h)
+            elif layer.activation != "identity":
+                raise ValueError(f"unknown activation {layer.activation!r}")
             outputs.append(h)
         y = h if self.output_transform is None else h @ self.output_transform.T
         cache = {"version": self._version, "weights": weights, "inputs": inputs,
@@ -185,19 +177,29 @@ class Network:
 
         ``output_cotangent`` has the shape of the forward output; gradients
         come back as a list aligned with :meth:`parameters` (equivariant
-        layers in theta/beta coordinates), plus the input cotangent.
+        layers in theta/beta coordinates), plus the input cotangent.  A
+        ``tanh`` layer forms ``(1 - out * out) * g`` in one reused buffer.
         """
         if cache["version"] != self._version:
             raise InvalidStateError("network parameters changed since the cached forward pass")
-        g = np.asarray(output_cotangent, dtype=np.float64)
+        # Identity layers reduce g itself; sums round differently off C order.
+        g = np.ascontiguousarray(output_cotangent, dtype=np.float64)
         if cache["squeeze"]:
             g = g[None, :]
         if self.output_transform is not None:
             g = g @ self.output_transform
         grads = [None] * (2 * len(self.layers))
+        buf = None
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            gz = g * _act_grad_from_output(layer.activation, cache["outputs"][i])
+            if layer.activation == "tanh":
+                out = cache["outputs"][i]
+                reuse = buf is not None and buf.shape == out.shape
+                gz = buf = np.multiply(out, out, out=buf if reuse else None)
+                np.subtract(1.0, gz, out=gz)
+                gz *= g
+            else:
+                gz = g
             gw, gb = gz.T @ cache["inputs"][i], gz.sum(axis=0)
             if layer.kind == "equivariant":
                 gw = layer.table.coordinates(layer.q_out @ gw @ layer.q_in.T)
@@ -285,29 +287,29 @@ def equivariant_net(
 
 
 def adam_init(params):
-    return {
-        "step": 0,
-        "m": [np.zeros_like(p) for p in params],
-        "v": [np.zeros_like(p) for p in params],
-    }
+    """Step 0 and zero moments ``m``, ``v``: one flat vector each over ``params``."""
+    n = sum(p.size for p in params)
+    return {"step": 0, "m": np.zeros(n), "v": np.zeros(n)}
 
 
 def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected adaptive-moment update; returns new params/state."""
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError("non-finite gradient in optimizer step")
+    """One bias-corrected adaptive-moment update; returns new params/state.
+
+    All parameters are updated at once, elementwise, into one new flat vector
+    (never in place: forward caches still hold the old weights)."""
+    g = np.concatenate(grads, axis=None)
+    if not np.all(np.isfinite(g)):
+        raise TrainingDivergenceError("non-finite gradient in optimizer step")
     step = state["step"] + 1
     c1 = 1.0 - beta1 ** step
     c2 = 1.0 - beta2 ** step
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        new_params.append(p - lr * (m / c1) / (np.sqrt(v / c2) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, {"step": step, "m": new_m, "v": new_v}
+    m = beta1 * state["m"] + (1.0 - beta1) * g
+    v = beta2 * state["v"] + (1.0 - beta2) * g * g
+    flat = np.concatenate(params, axis=None)
+    flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    ends = np.cumsum([p.size for p in params])
+    new_params = [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
+    return new_params, {"step": step, "m": m, "v": v}
 
 
 def net_equivariance_residual(net: Network, rep_in: Representation, rep_out: Representation,

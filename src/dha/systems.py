@@ -201,23 +201,21 @@ def _noise_blocks(keys, steps: int, dim: int, sigma: float):
 
 
 def _project_constraints(x, C, c, max_passes: int = 8):
-    for _ in range(max_passes):
+    # Cyclic projection converges geometrically; after max_passes, slop on
+    # near-opposed rows is accepted and larger violations keep cycling.
+    for n_pass in range(1, 8 * max_passes + 1):
         clean = True
         for k in range(C.shape[0]):
             gap = float(C[k] @ x - c[k])
             if gap < -1e-12:
                 x = x - gap / float(C[k] @ C[k]) * C[k]
                 clean = False
-        if clean:
+        if clean or (n_pass >= max_passes and np.min(C @ x - c) >= -1e-6):
             return x
-    # Cyclic projection converges geometrically; what 8 passes leave behind
-    # on near-opposed rows is boundary slop, not infeasibility.
     worst = float(np.min(C @ x - c))
-    if worst < -1e-6:
-        raise InfeasibilityError(
-            f"constraint projection did not converge in {max_passes} passes (violation {worst:.3e})"
-        )
-    return x
+    raise InfeasibilityError(
+        f"constraint projection did not converge in {n_pass} passes (violation {worst:.3e})"
+    )
 
 
 def _simulate(system: SymmetricLinearSystem, x0: np.ndarray, steps: int, noise) -> np.ndarray:
@@ -339,12 +337,19 @@ class TrajectoryDataset:
 
 
 def _draw_feasible(rng, system, low, high, max_attempts=10_000):
-    for _ in range(max_attempts):
-        x = rng.uniform(low, high)
-        if system.feasible(x):
-            return x
+    """Rejection-sample ``[low, high]``; if that fails, the box halved about
+    its centre (up to 8 times, ``max_attempts // 8`` draws each)."""
+    centre, half = (high + low) / 2.0, (high - low) / 2.0
+    for k in range(9):
+        lo, hi = (low, high) if k == 0 else (centre - half / 2.0 ** k, centre + half / 2.0 ** k)
+        for _ in range(max_attempts if k == 0 else max_attempts // 8):
+            x = rng.uniform(lo, hi)
+            if system.feasible(x):
+                return x
+    box = ", ".join(np.array2string(v, precision=4, threshold=8) for v in (lo, hi))
     raise InfeasibilityError(
-        f"fewer than 1 feasible sample in {max_attempts} draws from the initial box"
+        f"fewer than 1 feasible sample in {max_attempts} draws from the initial box "
+        f"or from it halved about its centre 8 times (last box tried: [{box}])"
     )
 
 

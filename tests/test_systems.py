@@ -255,6 +255,25 @@ def test_infeasible_box_raises():
         generate_dataset(sys0, n_train=2, n_test=0, horizon=3, seed=0)
 
 
+def test_thin_feasible_set_found_in_halved_box():
+    # Two constraint orbits at offsets in (-0.3, -0.1) leave a region around
+    # the origin too small for 10 000 draws from [-1, 1]^16 to hit.
+    g = group_from_descriptor("C2xC2xC2")
+    rep = regular_rep_copies(g, 16)
+    sys0 = random_symmetric_stable_system(g, rep, sigma=0.01, n_constraints=2, seed=1,
+                                          offset_range=(-0.3, -0.1))
+    data = generate_dataset(sys0, 4, 2, 5, seed=0)
+    assert all(sys0.feasible(x) for x in data.trajectories[:, 0])
+
+
+def test_infeasible_box_error_names_last_box():
+    g = make_cyclic(2)
+    rep = regular_rep_copies(g, 2)
+    sys0 = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, np.eye(2), np.array([2.0, 2.0]), 0.5)
+    with pytest.raises(InfeasibilityError, match=r"halved .* 8 times .*0\.0039"):
+        generate_dataset(sys0, n_train=1, n_test=0, horizon=3, init_box=1.0, seed=0)
+
+
 def test_dataset_files_roundtrip_and_determinism(tmp_path):
     g = make_cyclic(3)
     rep = regular_rep_copies(g, 6)
