@@ -219,6 +219,8 @@ _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#e377c2", "#7f7f7f", "#bcbd22",
 ]
+#: Markup characters in SVG text content (``xml.sax.saxutils.escape`` without its import cost).
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def emit_plot_data(series: dict, base_path, title: str = "", log_y: bool = False,
@@ -267,6 +269,7 @@ def _ticks(lo, hi, n=5):
 
 
 def _render_svg(series, title, log_y, x_label, y_label):
+    title, x_label, y_label = (text.translate(_XML_TEXT) for text in (title, x_label, y_label))
     width, height = 800, 500
     ml, mr, mt, mb = 70, 160, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
@@ -330,8 +333,7 @@ def _render_svg(series, title, log_y, x_label, y_label):
             f'<line x1="{ml + pw + 10}" y1="{ly - 4}" x2="{ml + pw + 30}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(
-            f'<text x="{ml + pw + 35}" y="{ly}" font-family="sans-serif" font-size="11">{name}</text>'
-        )
+        parts.append(f'<text x="{ml + pw + 35}" y="{ly}" font-family="sans-serif" '
+                     f'font-size="11">{name.translate(_XML_TEXT)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -205,12 +205,16 @@ def equivariant_project(a: np.ndarray, rep: Representation) -> np.ndarray:
     """Group-averaging projection ``(1/|G|) sum_g rho(g) A rho(g)^{-1}``.
 
     The Frobenius-orthogonal projection of ``a`` onto the commutant of
-    ``rep``; idempotent and norm non-increasing.
+    ``rep``; idempotent and norm non-increasing.  O(|G| m^3): the products
+    ``rho(g) A rho(g)^T`` are summed in element-id order, exactly for permutations.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (rep.dim, rep.dim):
         raise ValueError(f"matrix shape {a.shape} does not match representation dim {rep.dim}")
-    return np.einsum("gij,jk,glk->il", rep.matrices, a, rep.matrices) / rep.group.order
+    out = np.zeros_like(a)
+    for mat in rep.matrices:
+        out += mat @ a @ mat.T
+    return out / rep.group.order
 
 
 def equivariance_residual(a: np.ndarray, rep: Representation) -> float:

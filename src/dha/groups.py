@@ -478,38 +478,40 @@ def conjugate_representation(rep: Representation, v: np.ndarray, space_label: st
     return Representation(rep.group, mats, space_label or rep.space_label)
 
 
+def _monomials(d: int):
+    """Monomial index pairs ``(i, i)``, then ``(i, j)`` for ``i < j``, and scales 1, sqrt(2)."""
+    iu, ju = np.triu_indices(d, 1)
+    scale = np.r_[np.ones(d), np.full(iu.size, np.sqrt(2.0))]
+    return np.r_[np.arange(d), iu], np.r_[np.arange(d), ju], scale
+
+
 def symmetric_square_rep(rep: Representation, space_label: str = "") -> Representation:
     """Induced representation on quadratic monomials.
 
     The monomial basis is ``x_i^2`` followed by ``sqrt(2) x_i x_j`` for
     ``i < j``; with that scaling the induced matrices stay orthogonal.
+    With ``R = rho(g)`` and those scales ``s``, entry ``((a, b), (k, l))`` is
+    ``s_ab s_kl (R_ak R_bl + R_al R_bk) / 2``: O(|G| p^2) for ``p`` monomials.
     """
-    d = rep.dim
-    pairs = [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
-    basis = np.zeros((len(pairs), d, d))
-    for p, (i, j) in enumerate(pairs):
-        if i == j:
-            basis[p, i, i] = 1.0
-        else:
-            basis[p, i, j] = basis[p, j, i] = 1.0 / np.sqrt(2.0)
-    transformed = np.einsum("gik,pkl,gjl->gpij", rep.matrices, basis, rep.matrices)
-    mats = np.einsum("qij,gpij->gqp", basis, transformed)
-    mats[0] = np.eye(len(pairs))
+    ia, ib, scale = _monomials(rep.dim)
+    mats = np.empty((rep.group.order, ia.size, ia.size))
+    for r, out in zip(rep.matrices, mats):
+        ra, rb = r[ia], r[ib]
+        np.multiply(ra[:, ia], rb[:, ib], out=out)
+        out += ra[:, ib] * rb[:, ia]
+    mats *= np.outer(scale, 0.5 * scale)
+    mats[0] = np.eye(ia.size)
     return Representation(rep.group, mats, space_label or f"sym2({rep.space_label})")
 
 
 def quadratic_features(x: np.ndarray) -> np.ndarray:
     """Evaluate the monomials matching :func:`symmetric_square_rep`.
 
-    Accepts ``(..., d)`` input and returns ``(..., d*(d+1)/2)``.
+    Accepts ``(..., d)`` input and returns ``(..., d*(d+1)/2)``, each ``(s_ij x_i) x_j``.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[-1]
-    sq = x * x
-    cross = [np.sqrt(2.0) * x[..., i] * x[..., j] for i in range(d) for j in range(i + 1, d)]
-    if cross:
-        return np.concatenate([sq, np.stack(cross, axis=-1)], axis=-1)
-    return sq
+    ia, ib, scale = _monomials(x.shape[-1])
+    return scale * x[..., ia] * x[..., ib]
 
 
 def orbit(x: np.ndarray, rep: Representation) -> list[np.ndarray]:

@@ -200,7 +200,9 @@ class Network:
                 gz *= g
             else:
                 gz = g
-            gw, gb = gz.T @ cache["inputs"][i], gz.sum(axis=0)
+            # Both add rows in order, einsum faster; sum adds a lone column pairwise.
+            gb = np.einsum("ij->j", gz) if gz.shape[1] > 1 else gz.sum(axis=0)
+            gw = gz.T @ cache["inputs"][i]
             if layer.kind == "equivariant":
                 gw = layer.table.coordinates(layer.q_out @ gw @ layer.q_in.T)
                 gb = layer.bias_basis.T @ gb

@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,13 @@ def test_deterministic_bytes(tmp_path):
 def test_empty_series_rejected(tmp_path):
     with pytest.raises(ValueError):
         emit_plot_data({}, tmp_path / "nothing")
+
+
+def test_svg_escapes_markup_in_names_and_labels(tmp_path):
+    series = {"a<b": ([0.0, 1.0], [1.0, 2.0]), "c&d>": ([0.0, 1.0], [2.0, 1.0])}
+    _, svg_path = emit_plot_data(series, tmp_path / "model_a&b", title="x & y <z>",
+                                 x_label="t<1", y_label="e&f")
+    root = ElementTree.parse(svg_path).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    for text in ("x & y <z>", "t<1", "e&f", "a<b", "c&d>"):
+        assert text in texts
