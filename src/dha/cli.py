@@ -23,6 +23,7 @@ from .analysis import emit_plot_data, isotypic_energy, prediction_mse, spectrum
 from .groups import group_from_descriptor, regular_rep_copies
 from .isotypic import DecompositionError, isotypic_basis, save_isotypic_basis
 from .koopman import (
+    VARIANTS,
     NumericOverflowError,
     TrainConfig,
     load_model,
@@ -137,7 +138,7 @@ def validate_config(config: dict):
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {seeds}")
     for variant in config["variants"]:
-        if variant not in ("edmd", "eedmd", "dae", "dae_aug", "edae"):
+        if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
 
 

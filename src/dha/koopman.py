@@ -1,11 +1,12 @@
 """Global linear model fitting on trajectory data.
 
-Four variants share one interface: closed-form least squares on fixed
-observables (``edmd``, and ``eedmd`` restricted to the commutant so the
-operator is block-diagonal in the isotypic basis), and gradient-trained
-dynamics autoencoders (``dae``, ``dae_aug`` with group data augmentation,
-and the equivariant ``edae`` whose encoder/decoder are equivariant
-networks and whose operator lives in the latent commutant).
+Five variants share one structure, encoder -> linear operator -> decoder:
+closed-form least squares on fixed observables (``edmd``, and ``eedmd``
+restricted to the commutant so the operator is block-diagonal in the
+isotypic basis), and gradient-trained dynamics autoencoders (``dae``,
+``dae_aug`` with group data augmentation, and the equivariant ``edae``
+whose encoder/decoder are equivariant networks and whose operator lives in
+the latent commutant).
 """
 
 from __future__ import annotations
@@ -179,7 +180,16 @@ class TrainConfig:
 
 @dataclass
 class KoopmanModel:
-    """A fitted global linear model in one of the supported variants."""
+    """A global linear model ``decode(K^h encode(x))`` in one of the variants.
+
+    Closed-form variants have no networks (``encoder is None``): they
+    encode with the fixed ``observable`` map and decode by truncating the
+    features to the state.  Autoencoder variants encode and decode with
+    their networks.  A commutant operator (``eedmd``, ``edae``) keeps its
+    coordinates in ``k_map`` and its dense matrix, in the original feature
+    basis, in ``k_matrix``.  :func:`train` and :func:`load_model` start
+    from the same unfitted model of each variant.
+    """
 
     variant: str
     rep_x: Representation
@@ -204,13 +214,13 @@ class KoopmanModel:
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self.variant in ("edmd", "eedmd"):
+        if self.encoder is None:
             return _features(x, self.observable)
         z, _ = self.encoder.forward(x)
         return z
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        if self.variant in ("edmd", "eedmd"):
+        if self.decoder is None:
             return np.asarray(z)[..., : self.state_dim]
         x, _ = self.decoder.forward(z)
         return x
@@ -225,10 +235,10 @@ class KoopmanModel:
 
 
 def _features(x: np.ndarray, observable: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     if observable == "identity":
-        return np.asarray(x, dtype=np.float64)
+        return x
     if observable == "poly2":
-        x = np.asarray(x, dtype=np.float64)
         return np.concatenate([x, quadratic_features(x)], axis=-1)
     raise ValueError(f"unknown observable map {observable!r}")
 
@@ -339,83 +349,92 @@ def _windows(dataset: TrajectoryDataset, tag: str, h: int) -> np.ndarray:
     return trajs[:, idx].reshape(-1, h + 1, dataset.dim)
 
 
-def _build_autoencoder(variant, rep_x, config, rng):
-    group = rep_x.group
-    m = rep_x.dim
-    L = config.latent_dim
-    width = config.width or default_hidden_width(group.order, m)
-    hidden = [width] * config.hidden_layers
-    if variant == "edae":
-        if L % group.order:
-            raise ValueError(
-                f"latent_dim {L} is not a multiple of the group order {group.order}: "
-                "the latent space is a stack of regular-representation copies"
-            )
-        if width % group.order:
-            raise ValueError(f"hidden width {width} must be a multiple of the group order")
-        latent_rep = regular_rep_copies(group, L, "Z")
-        latent_iso = isotypic_basis(latent_rep)
-        encoder = equivariant_net(rep_x, hidden, latent_rep, rng, output_transform=latent_iso.q)
-        if config.decoder_equivariant:
-            decoder = equivariant_net(latent_rep, hidden, rep_x, rng, input_transform=latent_iso.q.T)
-        else:
-            decoder = dense_net([L] + hidden + [m], rng)
-        cbasis = commutant_basis(latent_iso.rotated_rep(), latent_iso.blocks)
-        k_map = EquivariantLinearMap(cbasis, coordinates(np.eye(L), cbasis))
-        return encoder, decoder, k_map, latent_iso
-    encoder = dense_net([m] + hidden + [L], rng)
-    decoder = dense_net([L] + hidden + [m], rng)
-    return encoder, decoder, None, None
+def _new_model(variant, rep_x, config, rng) -> KoopmanModel:
+    """The unfitted model of ``variant``; :func:`train` fits it, :func:`load_model` fills it.
 
-
-def _closed_form_model(variant, dataset, config) -> KoopmanModel:
-    x, y = snapshot_pairs(dataset)
-    fx, fy = _features(x.T, config.observable).T, _features(y.T, config.observable).T
-    if variant == "edmd":
-        k = edmd_fit(fx, fy, config.ridge)
-        model = KoopmanModel(
-            variant, dataset.rep_x, fx.shape[0], k,
-            observable=config.observable, config=config,
-        )
+    ``edmd``/``eedmd`` get the feature dimension of ``config.observable``
+    and, for ``eedmd``, the isotypic basis of the feature representation.
+    ``dae``/``dae_aug``/``edae`` draw their networks from ``rng``; ``edae``
+    maps to a latent stack of regular-representation copies.  The operator
+    starts at the identity; a commutant operator holds its coordinates,
+    which :meth:`KoopmanModel.refresh_k` assembles to ``k_matrix``.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    group, m = rep_x.group, rep_x.dim
+    encoder = decoder = latent_iso = feature_iso = None
+    if variant in ("edmd", "eedmd"):
+        observable = config.observable
+        L = _features(np.zeros(m), observable).shape[-1]
+        if variant == "eedmd":
+            feature_iso = isotypic_basis(_feature_rep(rep_x, observable))
     else:
-        iso = isotypic_basis(_feature_rep(dataset.rep_x, config.observable))
-        emap = eedmd_fit(fx, fy, iso, config.ridge)
-        model = KoopmanModel(
-            variant, dataset.rep_x, fx.shape[0], np.zeros((fx.shape[0],) * 2),
-            observable=config.observable, k_map=emap, feature_iso=iso, config=config,
-        )
+        observable, L = "identity", config.latent_dim
+        if L < 1:
+            raise ValueError("latent_dim must be set for autoencoder variants")
+        width = config.width or default_hidden_width(group.order, m)
+        hidden = [width] * config.hidden_layers
+        if variant == "edae":
+            if L % group.order:
+                raise ValueError(
+                    f"latent_dim {L} is not a multiple of the group order {group.order}: "
+                    "the latent space is a stack of regular-representation copies"
+                )
+            if width % group.order:
+                raise ValueError(f"hidden width {width} must be a multiple of the group order")
+            latent_rep = regular_rep_copies(group, L, "Z")
+            latent_iso = isotypic_basis(latent_rep)
+            encoder = equivariant_net(rep_x, hidden, latent_rep, rng, output_transform=latent_iso.q)
+            if config.decoder_equivariant:
+                decoder = equivariant_net(latent_rep, hidden, rep_x, rng, input_transform=latent_iso.q.T)
+            else:
+                decoder = dense_net([L] + hidden + [m], rng)
+        else:
+            encoder = dense_net([m] + hidden + [L], rng)
+            decoder = dense_net([L] + hidden + [m], rng)
+    k, k_map = np.eye(L), None
+    iso = latent_iso if latent_iso is not None else feature_iso
+    if iso is not None:
+        cbasis = commutant_basis(iso.rotated_rep(), iso.blocks)
+        k_map = EquivariantLinearMap(cbasis, coordinates(k, cbasis))
+    return KoopmanModel(variant, rep_x, L, k, observable=observable, encoder=encoder,
+                        decoder=decoder, k_map=k_map, latent_iso=latent_iso,
+                        feature_iso=feature_iso, config=config)
+
+
+def _fit_closed_form(model: KoopmanModel, dataset: TrajectoryDataset) -> KoopmanModel:
+    """Least-squares operator on the snapshot features, plus a one-row report."""
+    config = model.config
+    x, y = snapshot_pairs(dataset)
+    fx, fy = model.encode(x.T).T, model.encode(y.T).T
+    if model.k_map is None:
+        model.k_matrix = edmd_fit(fx, fy, config.ridge)
+    else:
+        model.k_map = eedmd_fit(fx, fy, model.feature_iso, config.ridge)
         model.refresh_k()
     train_mse = float(np.mean(np.sum((fy - model.k_matrix @ fx) ** 2, axis=0)))
-    model.training_report = {
-        "metrics": [
-            {
-                "epoch": 0,
-                "train_loss": train_mse,
-                "val_loss": train_mse,
-                "recon_term": train_mse,
-                "latent_term": 0.0,
-                "spectral_radius": model.spectral_radius,
-            }
-        ],
-        "best_epoch": 0,
-        "n_snapshots": fx.shape[1],
-        "seed": config.seed,
-        "config_hash": config.config_hash(),
-    }
+    row = {"epoch": 0, "train_loss": train_mse, "val_loss": train_mse, "recon_term": train_mse,
+           "latent_term": 0.0, "spectral_radius": model.spectral_radius}
+    model.training_report = {"metrics": [row], "best_epoch": 0, "n_snapshots": fx.shape[1],
+                             "seed": config.seed, "config_hash": config.config_hash()}
     return model
 
 
+def _networks(model: KoopmanModel) -> list:
+    return [net for net in (model.encoder, model.decoder) if net is not None]
+
+
 def _model_params(model: KoopmanModel):
+    """Network parameters in encoder, decoder order, then the operator (``theta`` or ``K``)."""
     k_param = model.k_map.theta.copy() if model.k_map is not None else model.k_matrix.copy()
-    return model.encoder.parameters() + model.decoder.parameters() + [k_param]
+    return [p for net in _networks(model) for p in net.parameters()] + [k_param]
 
 
 def _apply_params(model: KoopmanModel, params):
-    n_enc = 2 * len(model.encoder.layers)
-    n_dec = 2 * len(model.decoder.layers)
-    model.encoder.set_parameters(params[:n_enc])
-    model.decoder.set_parameters(params[n_enc:n_enc + n_dec])
-    k_param = params[n_enc + n_dec]
+    it = iter(params)
+    for net in _networks(model):
+        net.set_parameters([next(it) for _ in range(2 * len(net.layers))])
+    k_param = next(it)
     if model.k_map is not None:
         model.k_map = EquivariantLinearMap(model.k_map.basis, k_param)
         model.refresh_k()
@@ -434,22 +453,12 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
     ``sqrt(state_dim / latent_dim)``.  Everything is deterministic given
     the config seed.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant in ("edmd", "eedmd"):
-        return _closed_form_model(variant, dataset, config)
-
-    if config.latent_dim < 1:
-        raise ValueError("latent_dim must be set for autoencoder variants")
-    rep_x = dataset.rep_x
-    m, L = rep_x.dim, config.latent_dim
-    gamma = config.gamma if config.gamma is not None else float(np.sqrt(m / L))
     rng = np.random.default_rng(config.seed)
-    encoder, decoder, k_map, latent_iso = _build_autoencoder(variant, rep_x, config, rng)
-    model = KoopmanModel(
-        variant, rep_x, L, np.eye(L), encoder=encoder, decoder=decoder,
-        k_map=k_map, latent_iso=latent_iso, config=config,
-    )
+    model = _new_model(variant, dataset.rep_x, config, rng)
+    if model.encoder is None:
+        return _fit_closed_form(model, dataset)
+    rep_x = dataset.rep_x
+    gamma = config.gamma if config.gamma is not None else float(np.sqrt(rep_x.dim / model.latent_dim))
     model.refresh_k()
 
     windows = _windows(dataset, "train", config.horizon)
@@ -556,14 +565,13 @@ def predict(model: KoopmanModel, x0: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def n_trainable_params(model: KoopmanModel) -> int:
-    n = 0
-    if model.encoder is not None:
-        n += model.encoder.n_params() + model.decoder.n_params()
-    if model.k_map is not None:
-        n += model.k_map.theta.size
-    elif model.variant in ("dae", "dae_aug"):
-        n += model.k_matrix.size
-    return int(n)
+    """Number of fitted parameters: network weights and biases plus the operator.
+
+    The operator counts its commutant coordinates if it has them and its
+    ``latent_dim ** 2`` entries otherwise, so ``edmd`` reports the size of
+    its least-squares operator.
+    """
+    return int(sum(p.size for p in _model_params(model)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,52 +610,41 @@ def save_model(model: KoopmanModel, path):
 
 
 def load_model(path) -> KoopmanModel:
+    """Rebuild a checkpoint's model as :func:`train` builds it, then fill in its parameters.
+
+    A header or payload that does not describe that model raises
+    ``ValueError``: an unknown variant or config key, a ``latent_dim`` or
+    observable other than the rebuilt model's, a commutant block layout
+    that does not match, a payload of the wrong size, or a non-finite
+    parameter.
+    """
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != "dha-model-v1":
         raise ValueError("not a model checkpoint")
     header = doc["header"]
     rep_x = rep_from_descriptor(header["rep_x"])
-    config = TrainConfig(**header["config"]) if header["config"] else TrainConfig()
-    variant = header["variant"]
-    k_data = doc["k_payload"]["data"]
-
-    def checked_theta(cbasis):
-        if cbasis.layout_fingerprint() != header["basis_fingerprint"]:
-            raise ValueError("checkpoint block layout does not match the rebuilt basis")
-        return decode_f64(k_data)
-
-    if variant == "edmd":
-        k = decode_f64(k_data, (header["latent_dim"],) * 2)
-        model = KoopmanModel(variant, rep_x, header["latent_dim"], k,
-                             observable=header["observable"], config=config)
-    elif variant == "eedmd":
-        iso = isotypic_basis(_feature_rep(rep_x, header["observable"]))
-        cbasis = commutant_basis(iso.rotated_rep(), iso.blocks)
-        model = KoopmanModel(variant, rep_x, header["latent_dim"],
-                             np.zeros((header["latent_dim"],) * 2),
-                             observable=header["observable"],
-                             k_map=EquivariantLinearMap(cbasis, checked_theta(cbasis)),
-                             feature_iso=iso, config=config)
-        model.refresh_k()
-    else:
-        rng = np.random.default_rng(config.seed)
-        encoder, decoder, k_map, latent_iso = _build_autoencoder(variant, rep_x, config, rng)
-        model = KoopmanModel(variant, rep_x, config.latent_dim, np.eye(config.latent_dim),
-                             encoder=encoder, decoder=decoder, k_map=k_map,
-                             latent_iso=latent_iso, config=config)
-        if k_map is not None:
-            k_param = checked_theta(k_map.basis)
-        else:
-            k_param = decode_f64(k_data, (config.latent_dim,) * 2)
-        flat = decode_f64(doc["net_params"])
-        params = []
-        pos = 0
-        for p in model.encoder.parameters() + model.decoder.parameters():
-            params.append(flat[pos:pos + p.size].reshape(p.shape))
-            pos += p.size
-        if pos != flat.size:
-            raise ValueError("checkpoint parameter payload does not match the architecture")
-        _apply_params(model, params + [k_param])
+    try:
+        config = TrainConfig(**header["config"])
+    except TypeError as err:
+        raise ValueError(f"checkpoint config is not a training config: {err}") from None
+    model = _new_model(header["variant"], rep_x, config, np.random.default_rng(config.seed))
+    stored = (header["latent_dim"], header["observable"])
+    if stored != (model.latent_dim, model.observable):
+        raise ValueError(
+            f"checkpoint latent_dim and observable {stored} do not match the rebuilt "
+            f"model's {(model.latent_dim, model.observable)}"
+        )
+    if model.k_map is not None and header.get("basis_fingerprint") != model.k_map.basis.layout_fingerprint():
+        raise ValueError("checkpoint block layout does not match the rebuilt basis")
+    *nets, k = _model_params(model)
+    flat = decode_f64(doc.get("net_params", ""))
+    k_param = decode_f64(doc["k_payload"]["data"])
+    if flat.size != sum(p.size for p in nets) or k_param.size != k.size:
+        raise ValueError("checkpoint parameter payload does not match the architecture")
+    if not (np.all(np.isfinite(flat)) and np.all(np.isfinite(k_param))):
+        raise ValueError("checkpoint holds non-finite parameters")
+    chunks = np.split(flat, np.cumsum([p.size for p in nets], dtype=int))
+    _apply_params(model, [c.reshape(p.shape) for c, p in zip(chunks, nets)] + [k_param.reshape(k.shape)])
     model.training_report = doc.get("training_report")
     return model
 

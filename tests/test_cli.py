@@ -1,7 +1,11 @@
 import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dha._util import decode_f64, encode_f64
 
 from dha.cli import (
     cmd_decompose,
@@ -230,3 +234,51 @@ def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
     _corrupt(data_dir, case)
     assert main(["decompose", str(data_dir), "--out", str(tmp_path / "dec")]) == code
     assert message in capsys.readouterr().err
+
+
+CHECKPOINT = Path(__file__).resolve().parent / "data" / "checkpoint_edae_c3.json"
+
+
+def _corrupt_checkpoint(doc, case):
+    """Damage a loaded ``edae`` checkpoint document in the named way."""
+    header = doc["header"]
+    if case == "unknown_config_key":
+        header["config"]["bogus"] = 1
+    elif case == "unknown_variant":
+        header["variant"] = "nope"
+    elif case == "latent_dim":
+        header["latent_dim"] = 12
+    elif case == "block_layout":
+        header["basis_fingerprint"] = "0" * 64
+    elif case == "nan_net_params":
+        flat = decode_f64(doc["net_params"])
+        flat[3] = np.nan
+        doc["net_params"] = encode_f64(flat)
+    elif case == "inf_theta":
+        theta = decode_f64(doc["k_payload"]["data"])
+        theta[0] = np.inf
+        doc["k_payload"]["data"] = encode_f64(theta)
+    elif case == "short_net_params":
+        doc["net_params"] = encode_f64(decode_f64(doc["net_params"])[:-1])
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [("unknown_config_key", "bogus"), ("unknown_variant", "unknown variant 'nope'"),
+     ("latent_dim", "latent_dim"), ("block_layout", "block layout"),
+     ("nan_net_params", "non-finite"), ("inf_theta", "non-finite"),
+     ("short_net_params", "payload does not match")],
+)
+def test_corrupt_checkpoint_exit_codes(tmp_path, capsys, case, message):
+    doc = json.loads(CHECKPOINT.read_text())
+    _corrupt_checkpoint(doc, case)
+    path = tmp_path / "model_edae_seed0.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectra", str(path), "--out", str(tmp_path / "sp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+
+
+def test_config_rejects_unknown_variant(tmp_path):
+    with pytest.raises(ValueError, match="unknown variant 'nope'"):
+        load_config(write_config(tmp_path, variants=["edmd", "nope"]))

@@ -360,12 +360,23 @@ def test_parameter_count_ordering():
     assert n_trainable_params(edae) < n_trainable_params(dae)
 
 
+@pytest.mark.parametrize("observable, n_edmd, n_eedmd", [("identity", 36, 12), ("poly2", 729, 243)])
+def test_parameter_count_includes_every_fitted_operator(observable, n_edmd, n_eedmd):
+    # C3, m = 6: edmd fits a full latent_dim x latent_dim operator (6 or
+    # 6 + 21 = 27 features), eedmd only its commutant coordinates.
+    _, ds = make_dataset(desc="C3", m=6, sigma=0.01, horizon=15)
+    edmd = train("edmd", ds, TrainConfig(observable=observable))
+    eedmd = train("eedmd", ds, TrainConfig(observable=observable))
+    assert n_trainable_params(edmd) == edmd.latent_dim ** 2 == n_edmd
+    assert n_trainable_params(eedmd) == eedmd.k_map.theta.size == n_eedmd
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", ["edmd", "eedmd", "dae", "edae"])
+@pytest.mark.parametrize("variant", ["edmd", "eedmd", "dae", "dae_aug", "edae"])
 def test_checkpoint_roundtrip(variant, tmp_path):
     _, ds = make_dataset(desc="C2", m=4, sigma=0.01, horizon=15)
     cfg = TrainConfig(latent_dim=8, horizon=3, epochs=2, seed=1)
