@@ -5,100 +5,14 @@ calculus), simulators for symmetric stochastic linear systems, and
 symmetry-aware global linear (Koopman) model fitting and analysis.
 """
 
-from .groups import (
-    FiniteGroup,
-    Representation,
-    Irrep,
-    IrrepTable,
-    UnsupportedGroupError,
-    make_cyclic,
-    direct_product,
-    group_from_descriptor,
-    regular_representation,
-    irreps_real,
-    rep_direct_sum,
-    regular_rep_copies,
-    conjugate_representation,
-    symmetric_square_rep,
-    orbit,
-)
-from .isotypic import (
-    DecompositionError,
-    IsotypicBlock,
-    IsotypicBasis,
-    character_projector,
-    isotypic_basis,
-    isotypic_project,
-    is_g_stable,
-    save_isotypic_basis,
-    load_isotypic_basis,
-)
-from .commutant import (
-    CommutantBasis,
-    EquivariantLinearMap,
-    commutant_basis,
-    hom_basis,
-    assemble,
-    coordinates,
-    equivariant_project,
-    equivariance_residual,
-    hom_space_dimension,
-    save_equivariant_map,
-    load_equivariant_map,
-)
-from .nets import (
-    InvalidStateError,
-    TrainingDivergenceError,
-    Layer,
-    Network,
-    dense_net,
-    equivariant_net,
-    default_hidden_width,
-    adam_init,
-    adam_step,
-    net_equivariance_residual,
-)
-from .systems import (
-    InfeasibilityError,
-    SymmetricLinearSystem,
-    TrajectoryDataset,
-    random_symmetric_stable_system,
-    rollout,
-    system_noise,
-    orbit_representative,
-    generate_dataset,
-    save_dataset,
-    load_dataset,
-    import_trajectories,
-    rep_from_descriptor,
-    rep_descriptor,
-)
-from .koopman import (
-    NumericOverflowError,
-    TrainConfig,
-    KoopmanModel,
-    snapshot_pairs,
-    edmd_fit,
-    eedmd_fit,
-    dae_loss,
-    train,
-    predict,
-    predict_batch,
-    n_trainable_params,
-    save_model,
-    load_model,
-    save_metrics_csv,
-)
-from .analysis import (
-    SpectrumReport,
-    EnergyDecomposition,
-    PredictionError,
-    spectrum,
-    isotypic_energy,
-    prediction_mse,
-    emit_plot_data,
-    read_series_csv,
-)
+# Each module's ``__all__`` is its public API; the package re-exports all of them.
+from .groups import *  # noqa: F401,F403
+from .isotypic import *  # noqa: F401,F403
+from .commutant import *  # noqa: F401,F403
+from .nets import *  # noqa: F401,F403
+from .systems import *  # noqa: F401,F403
+from .koopman import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -191,8 +191,11 @@ def prediction_mse(model: KoopmanModel, dataset: TrajectoryDataset, horizon: int
     the mean over trajectories of ``sum_{h=1..H} ||xhat_h - x_h||^2``,
     also reported per horizon step and broken down by the quotient copy of
     each initial state (the group element mapping it to its orbit
-    representative).
+    representative).  ``horizon`` must lie in ``1 .. T`` for trajectories
+    of ``T`` steps; anything else raises ``ValueError``.
     """
+    if horizon < 1:
+        raise ValueError(f"prediction horizon must be at least 1, got {horizon}")
     trajs = dataset.split(split)
     if trajs.shape[0] == 0:
         raise ValueError(f"no trajectories in split {split!r}")

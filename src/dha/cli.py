@@ -14,6 +14,7 @@ import concurrent.futures
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,10 @@ from .analysis import emit_plot_data, isotypic_energy, prediction_mse, spectrum
 from .groups import group_from_descriptor, regular_rep_copies
 from .isotypic import DecompositionError, isotypic_basis, save_isotypic_basis
 from .koopman import (
-    VARIANTS,
     NumericOverflowError,
     TrainConfig,
+    _check_variant,
+    _parse_train_config,
     load_model,
     n_trainable_params,
     save_metrics_csv,
@@ -66,27 +68,12 @@ DEFAULT_CONFIG = {
     "system_seed": 0,
     "dataset": {"n_train": 16, "n_test": 64, "horizon": 100, "init_box": 1.0, "seed": 0},
     "variants": ["dae", "edae"],
-    "training": {
-        "latent_dim": 12,
-        "horizon": 10,
-        "gamma": None,
-        "lr": 1e-3,
-        "epochs": 300,
-        "batch": 64,
-        "patience": 30,
-        "hidden_layers": 4,
-        "width": None,
-        "max_windows": None,
-        "ridge": None,
-        "observable": "identity",
-        "decoder_equivariant": True,
-    },
+    # TrainConfig's defaults; each run's seed comes from "seeds".
+    "training": {k: v for k, v in asdict(TrainConfig(latent_dim=12)).items() if k != "seed"},
     "eval_horizon": 10,
     "seeds": [0, 1, 2, 3],
     "output_dir": None,
 }
-
-EQUIVARIANT_VARIANTS = ("eedmd", "edae")
 
 
 def _merge(base, override):
@@ -99,8 +86,72 @@ def _merge(base, override):
     return out
 
 
+def _with_setting(config: dict, dotted: str, value) -> dict:
+    """A copy of ``config`` with the setting at ``dotted`` (``training.lr``) set to ``value``.
+
+    The sections on the path are copied, so ``config`` is left as it was.
+    """
+    keys = dotted.split(".")
+    out = node = dict(config)
+    for i, key in enumerate(keys[:-1]):
+        section = node.get(key, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"cannot set {dotted!r}: {'.'.join(keys[:i + 1])!r} is not a section")
+        node[key] = dict(section)
+        node = node[key]
+    node[keys[-1]] = value
+    return out
+
+
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the type of the default setting ``default`` (``None``: a path or ``None``)."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def _check_shape(node: dict, shape: dict, path=""):
+    """Raise ``ValueError`` naming the first setting of ``node`` that ``shape`` does not allow.
+
+    ``shape`` is ``DEFAULT_CONFIG`` or one of its sections.  A key must be
+    one of its keys, a section an object, and a value of the default's
+    type: an ``int`` for an integer, an ``int`` or ``float`` for a float,
+    a list of the first item's type for a list.  ``dataset.init_box`` also
+    takes a ``[low, high]`` pair.  Training values are checked by
+    :class:`TrainConfig`.
+    """
+    for key, value in node.items():
+        where = path + key
+        if key not in shape:
+            raise ValueError(f"unknown config key {where!r}")
+        default = shape[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {where!r} must be an object, got {value!r}")
+            _check_shape(value, default, where + ".")
+        elif path != "training." and not _fits(value, default) and not (
+            where == "dataset.init_box" and isinstance(value, list) and len(value) == 2
+        ):
+            want = "a string or null" if default is None else f"a {type(default).__name__} like {default!r}"
+            raise ValueError(f"config setting {where!r} must be {want}, got {value!r}")
+
+
 def load_config(path, overrides=()) -> dict:
-    config = _merge(DEFAULT_CONFIG, json.loads(Path(path).read_text()))
+    """Read a JSON config, fill in ``DEFAULT_CONFIG`` and apply ``--set`` overrides.
+
+    Each override is ``path.to.key=value``; the value is parsed as JSON,
+    or kept as a string if it is not JSON.  The result passes
+    :func:`validate_config`; every error is a ``ValueError`` naming the
+    setting.
+    """
+    user = json.loads(Path(path).read_text())
+    if not isinstance(user, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    config = _merge(DEFAULT_CONFIG, user)
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override must look like path.to.key=value, got {item!r}")
@@ -109,16 +160,20 @@ def load_config(path, overrides=()) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = config
-        keys = dotted.split(".")
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-        node[keys[-1]] = value
+        config = _with_setting(config, dotted, value)
     validate_config(config)
     return config
 
 
 def validate_config(config: dict):
+    """Raise ``ValueError`` naming the first setting a run cannot use.
+
+    Keys and value types must follow ``DEFAULT_CONFIG`` (an unknown key
+    at any level is an error), the training block must parse as a
+    :class:`TrainConfig`, and every variant must be buildable from it for
+    the group, so no run starts on a config that a later run rejects.
+    """
+    _check_shape(config, DEFAULT_CONFIG)
     group = group_from_descriptor(config["group"])
     if config["state_dim"] % group.order:
         raise ValueError(
@@ -127,19 +182,12 @@ def validate_config(config: dict):
         )
     if not 0.0 < config["spectral_radius"] < 1.0:
         raise ValueError("spectral_radius must lie in (0, 1)")
-    latent = config["training"]["latent_dim"]
-    if any(v in EQUIVARIANT_VARIANTS for v in config["variants"]) and latent % group.order:
-        raise ValueError(
-            f"latent_dim {latent} is not divisible by the group order {group.order}: "
-            "equivariant variants build the latent space from copies of the group "
-            "regular representation"
-        )
     seeds = config["seeds"]
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {seeds}")
+    training = _parse_train_config(config["training"])
     for variant in config["variants"]:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+        _check_variant(variant, group.order, training)
 
 
 def _output_dir(config, flag_value, default_name) -> Path:
@@ -151,15 +199,14 @@ def _output_dir(config, flag_value, default_name) -> Path:
     return Path(root) / default_name
 
 
-def _build_system(config, sigma=None, state_dim=None):
+def _build_system(config):
     group = group_from_descriptor(config["group"])
-    m = state_dim if state_dim is not None else config["state_dim"]
-    rep = regular_rep_copies(group, m, "X")
+    rep = regular_rep_copies(group, config["state_dim"], "X")
     return random_symmetric_stable_system(
         group,
         rep,
         spectral_radius=config["spectral_radius"],
-        sigma=config["sigma"] if sigma is None else sigma,
+        sigma=config["sigma"],
         n_constraints=config["n_constraints"],
         seed=config["system_seed"],
         offset_range=tuple(config["constraint_offset_range"]),
@@ -174,10 +221,7 @@ def _generate(config, system, seed_offset=0):
 
 
 def _train_config(config, seed) -> TrainConfig:
-    t = dict(config["training"])
-    t["seed"] = seed
-    t["observable"] = t.get("observable") or "identity"
-    return TrainConfig(**{k: v for k, v in t.items() if k in TrainConfig.__dataclass_fields__})
+    return _parse_train_config({**config["training"], "seed": seed})
 
 
 # ---------------------------------------------------------------------------
@@ -256,42 +300,26 @@ def cmd_eval(model_path, dataset_dir, horizon: int, out_dir=None) -> Path:
     return out
 
 
-SWEEP_AXES = ("samples", "state_dim", "latent_dim", "sigma")
+#: The setting each sweep axis replaces, as ``--set`` would.
+SWEEP_AXES = {"samples": "training.max_windows", "state_dim": "state_dim",
+              "latent_dim": "training.latent_dim", "sigma": "sigma"}
 
 
 def _sweep_point(payload):
-    config, axis, value, seed = (
-        payload["config"],
-        payload["axis"],
-        payload["value"],
-        payload["seed"],
-    )
+    """Train and evaluate every variant at one point's config and seed."""
+    config, axis, value, seed = (payload[k] for k in ("config", "axis", "value", "seed"))
     point_dir = Path(payload["point_dir"])
     point_dir.mkdir(parents=True, exist_ok=True)
-    sigma = value if axis == "sigma" else None
-    state_dim = int(value) if axis == "state_dim" else None
-    system = _build_system(config, sigma=sigma, state_dim=state_dim)
+    system = _build_system(config)
     dataset = _generate(config, system, seed)
+    tcfg = _train_config(config, seed)
     rows = []
     for variant in config["variants"]:
-        tcfg = _train_config(config, seed)
-        if axis == "samples":
-            tcfg.max_windows = int(value)
-        elif axis == "latent_dim":
-            tcfg.latent_dim = int(value)
         model = train(variant, dataset, tcfg)
         save_model(model, point_dir / f"model_{variant}.json")
         report = prediction_mse(model, dataset, horizon=config["eval_horizon"])
-        rows.append(
-            {
-                "axis": axis,
-                "value": value,
-                "variant": variant,
-                "seed": seed,
-                "test_mse": report.aggregate,
-                "n_params": n_trainable_params(model),
-            }
-        )
+        rows.append({"axis": axis, "value": value, "variant": variant, "seed": seed,
+                     "test_mse": report.aggregate, "n_params": n_trainable_params(model)})
     (point_dir / "rows.json").write_text(canonical_json(rows))
     return rows
 
@@ -299,26 +327,22 @@ def _sweep_point(payload):
 def cmd_sweep(config: dict, axis: str, values, out_dir=None, workers: int | None = None) -> Path:
     """Run the experiment grid over one axis and aggregate across seeds.
 
-    Every (value, seed) point runs in its own subdirectory; aggregation is
-    a deterministic post-pass writing a long CSV and a mean/min/max chart
-    per variant.
+    Each value replaces the axis's setting in ``SWEEP_AXES`` (``samples``
+    is ``training.max_windows``), and every point's config is validated
+    before any runs.  Each (value, seed) point runs in its own
+    subdirectory; aggregation is a deterministic post-pass writing a long
+    CSV and a mean/min/max chart per variant.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
+        raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}")
+    points = [(value, _with_setting(config, SWEEP_AXES[axis], value)) for value in values]
+    for _, point in points:
+        validate_config(point)
     out = _output_dir(config, out_dir, f"sweep_{axis}")
     out.mkdir(parents=True, exist_ok=True)
-    payloads = []
-    for value in values:
-        for seed in config["seeds"]:
-            payloads.append(
-                {
-                    "config": config,
-                    "axis": axis,
-                    "value": value,
-                    "seed": seed,
-                    "point_dir": str(out / f"point_{axis}{value}_seed{seed}"),
-                }
-            )
+    payloads = [{"config": point, "axis": axis, "value": value, "seed": seed,
+                 "point_dir": str(out / f"point_{axis}{value}_seed{seed}")}
+                for value, point in points for seed in config["seeds"]]
     workers = workers or os.cpu_count() or 1
     if workers > 1 and len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

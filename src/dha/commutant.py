@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import fingerprint, frozen_array
-from .groups import Representation
+from .groups import Representation, irreps_real
 from .isotypic import IsotypicBasis, block_diagonal_matrices
 
 __all__ = [
@@ -229,19 +229,16 @@ def equivariance_residual(a: np.ndarray, rep: Representation) -> float:
 def hom_space_dimension(rep_a: Representation, rep_b: Representation) -> int:
     """Dimension of ``{T : rho_b(g) T = T rho_a(g) for all g}``.
 
-    Computed directly from the null space of the vectorized commutation
-    system; equals ``sum_i m_i(a) m_i(b) e_i`` over matching irreps.
+    By Schur's lemma this is ``sum_i m_i(a) m_i(b) e_i`` over the irreps,
+    with multiplicities ``m_i`` from characters and ``e_i`` the
+    endomorphism dimension (2 for rotation-type irreps).  Raises
+    ``ValueError`` for reps of different groups or non-integer counts.
     """
     if rep_a.group != rep_b.group:
         raise ValueError("representations belong to different groups")
-    da, db = rep_a.dim, rep_b.dim
-    rows = []
-    for g in rep_a.group.elements():
-        rows.append(np.kron(rep_b.matrices[g], np.eye(da)) - np.kron(np.eye(db), rep_a.matrices[g].T))
-    system = np.concatenate(rows, axis=0)
-    svals = np.linalg.svd(system, compute_uv=False)
-    tol = 1e-8 * max(1.0, svals[0] if svals.size else 0.0)
-    return int(np.sum(svals <= tol)) + max(0, da * db - svals.size)
+    table = irreps_real(rep_a.group)
+    endo = np.array([ir.endomorphism_dim for ir in table])
+    return int(np.sum(table.multiplicities(rep_a) * table.multiplicities(rep_b) * endo))
 
 
 def save_equivariant_map(emap: EquivariantLinearMap, path):

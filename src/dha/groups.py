@@ -22,7 +22,6 @@ from ._util import frozen_array
 MAX_GROUP_ORDER = 64
 
 __all__ = [
-    "MAX_GROUP_ORDER",
     "FiniteGroup",
     "Representation",
     "Irrep",
@@ -309,12 +308,13 @@ class IrrepTable:
         """Per-irrep, per-element character values, shape ``(k, |G|)``."""
         return np.stack([ir.character() for ir in self.irreps])
 
-    def multiplicities(self, rep: Representation) -> np.ndarray:
+    def multiplicities(self, rep: Representation, tol: float = 1e-8) -> np.ndarray:
         """Multiplicity of each irrep in ``rep`` from character inner products.
 
         For rotation-type irreps the real character has self inner product
         2, which is divided out so the returned value counts copies of the
-        stored 2-dimensional real irrep.
+        stored 2-dimensional real irrep.  Raises ``ValueError`` if a count
+        is further than ``tol`` from an integer (``tol=0.5`` only rounds).
         """
         if rep.group != self.group:
             raise ValueError("representation and table belong to different groups")
@@ -322,7 +322,7 @@ class IrrepTable:
         raw = self.characters @ chi / self.group.order
         scaled = raw / np.array([ir.endomorphism_dim for ir in self.irreps])
         mult = np.rint(scaled).astype(int)
-        if np.max(np.abs(scaled - mult)) > 1e-8:
+        if np.max(np.abs(scaled - mult)) > tol:
             raise ValueError(f"non-integer multiplicities {scaled}; not a representation of {self.group.descriptor}?")
         return mult
 

@@ -150,12 +150,6 @@ def _matrix_unit(rep: Representation, irrep: Irrep, k: int, l: int) -> np.ndarra
     return scale * np.einsum("g,gij->ij", coeff, rep.matrices)
 
 
-def _projector_rank(p: np.ndarray) -> int:
-    """Rank of a symmetric idempotent via eigenvalue counting at 0.5."""
-    eigs = np.linalg.eigvalsh(0.5 * (p + p.T))
-    return int(np.sum(eigs > 0.5))
-
-
 #: Bases computed with the default irrep table, keyed on the group (its
 #: descriptor tree and composition table), the space label and the matrix
 #: bytes; least recently used entries are dropped beyond ``_BASIS_CACHE_SIZE``.
@@ -203,17 +197,11 @@ def _compute_isotypic_basis(rep: Representation, table: IrrepTable) -> IsotypicB
     rows = []
     blocks = []
     offset = 0
-    for irrep in table:
-        d = irrep.dim
-        proj = character_projector(rep, irrep)
-        rank = _projector_rank(proj)
-        if rank % d:
-            raise DecompositionError(
-                f"isotypic component of {irrep.label} has rank {rank}, not a multiple of {d}"
-            )
-        mult = rank // d
-        if mult == 0:
+    # Counts are rounded, not checked: the residual checks below reject a malformed rep.
+    for irrep, mult in zip(table, table.multiplicities(rep, tol=0.5).tolist()):
+        if mult <= 0:
             continue
+        d = irrep.dim
         units = [_matrix_unit(rep, irrep, k, 0) for k in range(d)]
         block_vecs = _align_copies(units, mult, irrep.label)
         rows.extend(block_vecs)

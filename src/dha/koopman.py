@@ -12,7 +12,7 @@ the latent commutant).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -155,9 +155,25 @@ def eedmd_fit(
 # ---------------------------------------------------------------------------
 
 
+#: Least value of each numeric :class:`TrainConfig` field.
+_TRAIN_MINIMA = {"latent_dim": 0, "horizon": 1, "gamma": 0, "lr": 0, "epochs": 0, "batch": 1, "seed": 0,
+                 "patience": 0, "hidden_layers": 0, "width": 1, "max_windows": 1, "ridge": 0}
+_OBSERVABLES = ("identity", "poly2")
+
+
 @dataclass
 class TrainConfig:
-    """Hyperparameters for :func:`train`; unset widths follow the defaults."""
+    """Hyperparameters for :func:`train`, and the one definition of the training settings.
+
+    Construction checks every field and raises ``ValueError`` naming it.
+    Integer fields take an ``int`` (not a ``bool``), float fields an
+    ``int`` or ``float``, each at least its ``_TRAIN_MINIMA`` value; the
+    ``| None`` fields also take ``None``, and ``observable`` is one of
+    ``_OBSERVABLES``.  No value is converted, so :meth:`config_hash` hashes
+    the settings as given.  ``latent_dim=0`` is unset (closed-form
+    variants size their operator by the observables), and an unset
+    ``width`` follows :func:`~dha.nets.default_hidden_width`.
+    """
 
     latent_dim: int = 0
     horizon: int = 10
@@ -174,8 +190,59 @@ class TrainConfig:
     observable: str = "identity"
     decoder_equivariant: bool = True
 
+    def __post_init__(self):
+        for f in fields(self):
+            value, kind, optional = getattr(self, f.name), f.type.split(" | ")[0], f.type.endswith("| None")
+            if kind == "str":
+                ok, want = value in _OBSERVABLES, f"one of {_OBSERVABLES}"
+            elif kind == "bool":
+                ok, want = isinstance(value, bool), "true or false"
+            else:
+                low = _TRAIN_MINIMA[f.name]
+                ok = (isinstance(value, int if kind == "int" else (int, float))
+                      and not isinstance(value, bool) and value >= low)
+                want = f"{'an integer' if kind == 'int' else 'a number'} >= {low}"
+            if not (ok or optional and value is None):
+                raise ValueError(f"training setting {f.name} must be {want}{' or null' * optional}, "
+                                 f"got {value!r}")
+
     def config_hash(self) -> str:
         return fingerprint(asdict(self))
+
+
+def _parse_train_config(settings) -> TrainConfig:
+    """The :class:`TrainConfig` of a training block (a config file's or a checkpoint's).
+
+    Raises ``ValueError`` naming an unknown key or a field that
+    :class:`TrainConfig` rejects.
+    """
+    if not isinstance(settings, dict):
+        raise ValueError(f"training settings must be an object, got {settings!r}")
+    unknown = sorted(set(settings) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ValueError(f"unknown training setting(s) {', '.join(unknown)}")
+    return TrainConfig(**settings)
+
+
+def _check_variant(variant: str, group_order: int, config: TrainConfig):
+    """Raise ``ValueError`` unless ``config`` builds ``variant`` for a group of this order.
+
+    Autoencoders need ``latent_dim >= 1``.  ``edae``'s latent and hidden
+    spaces are stacks of regular-representation copies, so its
+    ``latent_dim`` and an explicit ``width`` must be multiples of the order.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant not in ("edmd", "eedmd") and config.latent_dim < 1:
+        raise ValueError(f"latent_dim must be set for autoencoder variant {variant}")
+    for name in ("latent_dim", "width") if variant == "edae" else ():
+        size = getattr(config, name)
+        if size is not None and size % group_order:
+            raise ValueError(
+                f"edae {name} {size} is not a multiple of the group order {group_order}: its "
+                "latent and hidden spaces are stacks of regular-representation copies, each "
+                f"copy the regular representation of dimension {group_order}"
+            )
 
 
 @dataclass
@@ -359,9 +426,8 @@ def _new_model(variant, rep_x, config, rng) -> KoopmanModel:
     starts at the identity; a commutant operator holds its coordinates,
     which :meth:`KoopmanModel.refresh_k` assembles to ``k_matrix``.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     group, m = rep_x.group, rep_x.dim
+    _check_variant(variant, group.order, config)
     encoder = decoder = latent_iso = feature_iso = None
     if variant in ("edmd", "eedmd"):
         observable = config.observable
@@ -370,18 +436,9 @@ def _new_model(variant, rep_x, config, rng) -> KoopmanModel:
             feature_iso = isotypic_basis(_feature_rep(rep_x, observable))
     else:
         observable, L = "identity", config.latent_dim
-        if L < 1:
-            raise ValueError("latent_dim must be set for autoencoder variants")
         width = config.width or default_hidden_width(group.order, m)
         hidden = [width] * config.hidden_layers
         if variant == "edae":
-            if L % group.order:
-                raise ValueError(
-                    f"latent_dim {L} is not a multiple of the group order {group.order}: "
-                    "the latent space is a stack of regular-representation copies"
-                )
-            if width % group.order:
-                raise ValueError(f"hidden width {width} must be a multiple of the group order")
             latent_rep = regular_rep_copies(group, L, "Z")
             latent_iso = isotypic_basis(latent_rep)
             encoder = equivariant_net(rep_x, hidden, latent_rep, rng, output_transform=latent_iso.q)
@@ -612,21 +669,20 @@ def save_model(model: KoopmanModel, path):
 def load_model(path) -> KoopmanModel:
     """Rebuild a checkpoint's model as :func:`train` builds it, then fill in its parameters.
 
-    A header or payload that does not describe that model raises
-    ``ValueError``: an unknown variant or config key, a ``latent_dim`` or
-    observable other than the rebuilt model's, a commutant block layout
-    that does not match, a payload of the wrong size, or a non-finite
-    parameter.
+    The stored config is parsed like a config file's training block, so
+    it passes the same field checks.  A header or payload that does not
+    describe that model raises ``ValueError``: an unknown variant or
+    config key, a config value of the wrong type or range, a
+    ``latent_dim`` or observable other than the rebuilt model's, a
+    commutant block layout that does not match, a payload of the wrong
+    size, or a non-finite parameter.
     """
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != "dha-model-v1":
         raise ValueError("not a model checkpoint")
     header = doc["header"]
     rep_x = rep_from_descriptor(header["rep_x"])
-    try:
-        config = TrainConfig(**header["config"])
-    except TypeError as err:
-        raise ValueError(f"checkpoint config is not a training config: {err}") from None
+    config = _parse_train_config(header["config"])
     model = _new_model(header["variant"], rep_x, config, np.random.default_rng(config.seed))
     stored = (header["latent_dim"], header["observable"])
     if stored != (model.latent_dim, model.observable):

@@ -238,8 +238,9 @@ def test_horizon_validation():
     sys0 = random_symmetric_stable_system(g, rep, 0.9, sigma=0.0, seed=0)
     ds = generate_dataset(sys0, n_train=2, n_test=2, horizon=5, seed=0)
     model = train("edmd", ds, TrainConfig())
-    with pytest.raises(ValueError, match="horizon"):
-        prediction_mse(model, ds, horizon=50)
+    for horizon in (50, 0, -2):
+        with pytest.raises(ValueError, match="horizon"):
+            prediction_mse(model, ds, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

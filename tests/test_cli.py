@@ -8,6 +8,7 @@ import pytest
 from dha._util import decode_f64, encode_f64
 
 from dha.cli import (
+    DEFAULT_CONFIG,
     cmd_decompose,
     cmd_eval,
     cmd_fit,
@@ -260,6 +261,10 @@ def _corrupt_checkpoint(doc, case):
         doc["k_payload"]["data"] = encode_f64(theta)
     elif case == "short_net_params":
         doc["net_params"] = encode_f64(decode_f64(doc["net_params"])[:-1])
+    elif case == "string_seed":
+        header["config"]["seed"] = "x"
+    elif case == "string_width":
+        header["config"]["width"] = "6"
 
 
 @pytest.mark.parametrize(
@@ -267,7 +272,8 @@ def _corrupt_checkpoint(doc, case):
     [("unknown_config_key", "bogus"), ("unknown_variant", "unknown variant 'nope'"),
      ("latent_dim", "latent_dim"), ("block_layout", "block layout"),
      ("nan_net_params", "non-finite"), ("inf_theta", "non-finite"),
-     ("short_net_params", "payload does not match")],
+     ("short_net_params", "payload does not match"), ("string_seed", "seed"),
+     ("string_width", "width")],
 )
 def test_corrupt_checkpoint_exit_codes(tmp_path, capsys, case, message):
     doc = json.loads(CHECKPOINT.read_text())
@@ -282,3 +288,99 @@ def test_corrupt_checkpoint_exit_codes(tmp_path, capsys, case, message):
 def test_config_rejects_unknown_variant(tmp_path):
     with pytest.raises(ValueError, match="unknown variant 'nope'"):
         load_config(write_config(tmp_path, variants=["edmd", "nope"]))
+
+
+@pytest.mark.parametrize(
+    "case, fields, flags, message",
+    [("unknown_key", {"sigm": 0.5}, [], "'sigm'"),
+     ("unknown_section_key", {"dataset": {"n_trian": 3}}, [], "'dataset.n_trian'"),
+     ("unknown_training_key", {}, ["training.lerning_rate=0.1"], "lerning_rate"),
+     ("training_seed", {}, ["training.seed=3"], "'training.seed'"),
+     ("set_through_value", {}, ["group.x=1"], "'group'"),
+     ("section_not_object", {}, ["dataset=5"], "'dataset'"),
+     ("training_not_object", {"training": [4]}, [], "'training'"),
+     ("seeds_not_list", {}, ["seeds=3"], "'seeds'"),
+     ("float_state_dim", {}, ["state_dim=4.0"], "'state_dim'"),
+     ("float_n_train", {}, ["dataset.n_train=2.5"], "'dataset.n_train'"),
+     ("string_eval_horizon", {}, ["eval_horizon=five"], "'eval_horizon'"),
+     ("string_sigma", {"sigma": "0.1"}, [], "'sigma'"),
+     ("bad_init_box", {}, ["dataset.init_box=[1,2,3]"], "'dataset.init_box'"),
+     ("string_epochs", {"training": {"epochs": "3"}}, [], "epochs"),
+     ("bool_batch", {}, ["training.batch=true"], "batch"),
+     ("negative_lr", {}, ["training.lr=-1"], "lr"),
+     ("null_observable", {}, ["training.observable=null"], "observable"),
+     ("edae_width", {"variants": ["dae", "edae"]}, ["training.width=5"], "width")],
+)
+def test_bad_config_exit_codes(tmp_path, capsys, case, fields, flags, message):
+    path = write_config(tmp_path, **fields)
+    argv = ["synth", str(path)] + [arg for flag in flags for arg in ("--set", flag)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+
+
+def test_init_box_takes_number_or_pair(tmp_path):
+    path = write_config(tmp_path)
+    assert load_config(path, ["dataset.init_box=2"])["dataset"]["init_box"] == 2
+    assert load_config(path, ["dataset.init_box=[-1,0.5]"])["dataset"]["init_box"] == [-1, 0.5]
+
+
+def test_closed_form_variants_ignore_latent_dim(tmp_path):
+    path = write_config(tmp_path, group="C3", state_dim=6, variants=["eedmd"],
+                        training={"latent_dim": 10})
+    assert load_config(path)["training"]["latent_dim"] == 10
+
+
+def test_overrides_leave_defaults_untouched(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"variants": ["edmd"]}))
+    before = json.dumps(DEFAULT_CONFIG)
+    cfg = load_config(path, ["training.lr=0.5", "dataset.n_train=3"])
+    assert (cfg["training"]["lr"], cfg["dataset"]["n_train"]) == (0.5, 3)
+    assert json.dumps(DEFAULT_CONFIG) == before
+
+
+def test_fit_checks_every_variant_before_training(tmp_path, capsys):
+    fields = dict(group="C3", state_dim=6, variants=["dae", "edae"],
+                  training={"latent_dim": 6, "horizon": 3, "epochs": 1, "hidden_layers": 1})
+    path = write_config(tmp_path, **fields)
+    data_dir = cmd_synth(load_config(path))
+    models = tmp_path / "models"
+    assert main(["fit", str(path), str(data_dir), "--out", str(models),
+                 "--set", "training.width=5"]) == 2
+    assert "width" in capsys.readouterr().err
+    assert not list(models.glob("model_*"))
+
+
+@pytest.mark.parametrize("horizon", ["0", "-2"])
+def test_eval_rejects_horizon_below_one(tmp_path, capsys, horizon):
+    cfg = load_config(write_config(tmp_path, variants=["edmd"]))
+    data_dir = cmd_synth(cfg)
+    model = cmd_fit(cfg, data_dir) / "model_edmd_seed0.json"
+    assert main(["eval", str(model), str(data_dir), "--horizon", horizon]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis, values, flags, message",
+    [("samples", "20", ["eval_horizon=0"], "horizon"),
+     ("samples", "20.5", [], "max_windows"),
+     ("latent_dim", "4,7", [], "latent_dim"),
+     ("state_dim", "4,5", [], "state_dim")],
+)
+def test_sweep_points_are_checked_configs(tmp_path, capsys, axis, values, flags, message):
+    path = write_config(tmp_path, variants=["eedmd", "edae"],
+                        training={"latent_dim": 4, "horizon": 3, "epochs": 1, "hidden_layers": 1})
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(path), "--axis", axis, "--values", values, "--workers", "1", "--out", str(out)]
+    assert main(argv + [arg for flag in flags for arg in ("--set", flag)]) == 2
+    assert message in capsys.readouterr().err
+    if not flags:  # an invalid axis value stops the sweep before any point runs
+        assert not out.exists()
+
+
+def test_sweep_leaves_config_untouched(tmp_path):
+    cfg = load_config(write_config(tmp_path, variants=["eedmd"]))
+    before = json.dumps(cfg)
+    cmd_sweep(cfg, "latent_dim", [2], workers=1)
+    assert json.dumps(cfg) == before

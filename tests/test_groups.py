@@ -12,7 +12,8 @@ from dha.groups import (
     rep_direct_sum,
     symmetric_square_rep,
 )
-from dha.isotypic import character_projector, _projector_rank
+from dha.isotypic import character_projector
+from rep_oracles import projector_rank as _projector_rank
 
 from conftest import ABELIAN_GROUPS_LE_16
 

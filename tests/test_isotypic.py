@@ -17,10 +17,10 @@ from dha.isotypic import (
     isotypic_project,
     load_isotypic_basis,
     save_isotypic_basis,
-    _projector_rank,
 )
 
 from conftest import ABELIAN_GROUPS_LE_16, random_orthogonal
+from rep_oracles import projector_rank as _projector_rank
 
 
 def scrambled_sum(group, table, mults, rng):

@@ -269,6 +269,28 @@ def test_latent_dim_must_fit_group():
         train("edae", ds, TrainConfig(latent_dim=7, epochs=1))
 
 
+def test_edae_width_must_fit_group():
+    _, ds = make_dataset(desc="C3")
+    with pytest.raises(ValueError, match="width 5"):
+        train("edae", ds, TrainConfig(latent_dim=6, width=5, epochs=1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", "3"), ("seed", "x"), ("width", "6"), ("batch", True), ("horizon", 2.0),
+     ("lr", -1e-3), ("gamma", float("nan")), ("max_windows", 0), ("latent_dim", -1),
+     ("observable", None), ("observable", "poly3"), ("decoder_equivariant", 1)],
+)
+def test_train_config_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"training setting {field} "):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_keeps_values_as_given():
+    cfg = TrainConfig(lr=1, gamma=2, ridge=0, width=None)
+    assert (type(cfg.lr), type(cfg.gamma), type(cfg.ridge)) == (int, int, int)
+
+
 # ---------------------------------------------------------------------------
 # Loss gradients through the full pipeline
 # ---------------------------------------------------------------------------
