@@ -165,15 +165,31 @@ def load_config(path, overrides=()) -> dict:
     return config
 
 
+#: The least value of each count, horizon and scale outside ``training``.
+_LOWER_BOUNDS = {"sigma": 0.0, "n_constraints": 0, "dataset.n_train": 1, "dataset.n_test": 0,
+                 "dataset.horizon": 1, "eval_horizon": 1}
+
+
 def validate_config(config: dict):
     """Raise ``ValueError`` naming the first setting a run cannot use.
 
     Keys and value types must follow ``DEFAULT_CONFIG`` (an unknown key
-    at any level is an error), the training block must parse as a
-    :class:`TrainConfig`, and every variant must be buildable from it for
-    the group, so no run starts on a config that a later run rejects.
+    at any level is an error), each setting in ``_LOWER_BOUNDS`` must reach
+    its bound, ``constraint_offset_range`` must be a ``[low, high]`` pair,
+    the training block must parse as a :class:`TrainConfig`, and every
+    variant must be buildable from it for the group, so no run starts on a
+    config that a later run rejects.
     """
     _check_shape(config, DEFAULT_CONFIG)
+    for dotted, low in _LOWER_BOUNDS.items():
+        section, _, key = dotted.rpartition(".")
+        value = (config[section] if section else config)[key]
+        if not value >= low:
+            raise ValueError(f"config setting {dotted!r} must be at least {low}, got {value!r}")
+    offsets = config["constraint_offset_range"]
+    if len(offsets) != 2 or not offsets[0] <= offsets[1]:
+        raise ValueError("config setting 'constraint_offset_range' must be a [low, high] pair "
+                         f"with low <= high, got {offsets!r}")
     group = group_from_descriptor(config["group"])
     if config["state_dim"] % group.order:
         raise ValueError(

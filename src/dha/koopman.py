@@ -469,7 +469,10 @@ def _fit_closed_form(model: KoopmanModel, dataset: TrajectoryDataset) -> Koopman
     else:
         model.k_map = eedmd_fit(fx, fy, model.feature_iso, config.ridge)
         model.refresh_k()
-    train_mse = float(np.mean(np.sum((fy - model.k_matrix @ fx) ** 2, axis=0)))
+    resid = np.matmul(model.k_matrix, fx)  # (fy - K fx) ** 2, formed in place
+    np.subtract(fy, resid, out=resid)
+    resid *= resid
+    train_mse = float(np.mean(np.sum(resid, axis=0)))
     row = {"epoch": 0, "train_loss": train_mse, "val_loss": train_mse, "recon_term": train_mse,
            "latent_term": 0.0, "spectral_radius": model.spectral_radius}
     model.training_report = {"metrics": [row], "best_epoch": 0, "n_snapshots": fx.shape[1],

@@ -10,13 +10,22 @@ representative) while test initial states cover all copies uniformly.
 
 from __future__ import annotations
 
+import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ._util import canonical_json, encode_f64, decode_f64, fingerprint, fmt17, frozen_array
+from ._util import (
+    _fmt17_fields,
+    canonical_json,
+    decode_f64,
+    encode_f64,
+    fingerprint,
+    fmt17,
+    frozen_array,
+)
 from .commutant import equivariance_residual, equivariant_project
 from .groups import FiniteGroup, Representation, group_from_descriptor, regular_rep_copies
 
@@ -180,23 +189,28 @@ def _noise_blocks(keys, steps: int, dim: int, sigma: float):
     Row ``i`` of block ``t`` is ``sigma`` times ``dim`` standard normals from
     the Philox stream keyed by ``keys[i]`` at counter ``[0, 0, t, 0]``.  One
     bit generator is reused and its state reset before every draw, which
-    yields the same bits as a fresh generator per (trajectory, step).
+    yields the same bits as a fresh generator per (trajectory, step).  The
+    state dict holds plain ints and lists, which the setter reads faster
+    than arrays.
     """
     block = np.zeros((len(keys), dim))
     if sigma == 0.0:
         for _ in range(steps):
             yield block
         return
-    words = [np.random.Philox(key=key).state["state"]["key"] for key in keys]
+    words = [np.random.Philox(key=key).state["state"]["key"].tolist() for key in keys]
+    rows = list(block)
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     state = bits.state
+    state["buffer"] = state["buffer"].tolist()
+    philox = state["state"] = {"counter": None, "key": None}
     for t in range(steps):
-        state["state"]["counter"] = np.array([0, 0, t, 0], dtype=np.uint64)
-        for i, key in enumerate(words):
-            state["state"]["key"] = key
+        philox["counter"] = [0, 0, t, 0]
+        for key, row in zip(words, rows):
+            philox["key"] = key
             bits.state = state
-            gen.standard_normal(out=block[i])
+            gen.standard_normal(out=row)
         yield sigma * block
 
 
@@ -316,6 +330,23 @@ class TrajectoryDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "trajectories", frozen_array(self.trajectories))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, trajectories: np.ndarray, *rest) -> TrajectoryDataset:
+        """A dataset over ``trajectories`` frozen in place, not copied.
+
+        Only for a C-ordered float64 array this module built and hands
+        over, which no caller holds; the constructor copies every other one.
+        """
+        trajectories.setflags(write=False)
+        ds = object.__new__(cls)
+        for field, value in zip(fields(cls), (trajectories, *rest)):
+            object.__setattr__(ds, field.name, value)
+        ds._check()
+        return ds
+
+    def _check(self):
         if not np.all(np.isfinite(self.trajectories)):
             raise ValueError("trajectories contain non-finite samples")
 
@@ -437,13 +468,25 @@ def rep_from_descriptor(desc: dict) -> Representation:
     return Representation(group, mats, "X")
 
 
+#: Values per formatting chunk in :func:`save_dataset` (whole trajectories, at least one).
+_SAVE_CHUNK = 8192
+
+
 def save_dataset(dataset: TrajectoryDataset, directory):
     """Write ``manifest.json`` plus one CSV per trajectory.
 
-    CSV header is ``t,x0,x1,...``; floats carry 17 significant digits so
-    the round trip is bit exact.  Output bytes are deterministic.  Each row
-    is formatted with one ``%d,%.17g,...`` template, whose text equals
-    ``fmt17`` of every value.
+    CSV header is ``t,x0,x1,...``; each row is the step ``t`` and the state,
+    every value written as :func:`fmt17` writes it (17 significant digits,
+    so the round trip is bit exact).  Output bytes are deterministic.
+
+    The values are formatted by ``_util._fmt17_fields``, whose bytes equal
+    ``fmt17``'s: exact integer arithmetic for ``1e-10 <= |x| < 1e15``, and
+    ``fmt17`` itself for zeros, subnormals and every value outside that
+    range.  It runs on chunks of whole trajectories of about ``_SAVE_CHUNK``
+    values: past ~10k values its temporaries outgrow the cache and the
+    allocator's reuse, and the kernel runs about twice as slow.  Each value
+    fills a 24-byte slot and a separator of a zeroed line buffer, and a
+    file is its buffer with the NUL bytes deleted.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -457,11 +500,25 @@ def save_dataset(dataset: TrajectoryDataset, directory):
         "provenance": dataset.provenance,
     }
     (directory / "manifest.json").write_text(canonical_json(manifest))
-    header = "t," + ",".join(f"x{j}" for j in range(dataset.dim))
-    row = "%d," + ",".join(["%.17g"] * dataset.dim)
-    for i, traj in enumerate(dataset.trajectories):
-        lines = [header] + [row % (t, *values) for t, values in enumerate(traj.tolist())]
-        (directory / f"traj_{i:05d}.csv").write_text("\n".join(lines) + "\n")
+    n, rows, dim = dataset.trajectories.shape
+    header = ("t," + ",".join(f"x{j}" for j in range(dim)) + "\n").encode()
+    per = max(1, _SAVE_CHUNK // max(1, rows * dim))
+    # A line is t, ",", then per value a 24-byte field and "," (NUL after
+    # the last value), then "\n".
+    steps = np.arange(rows).astype(f"S{len(str(rows - 1))}")
+    width = steps.itemsize
+    lines = np.zeros((min(per, n), rows, width + 1 + 25 * dim + 1), np.uint8)
+    lines[..., :width] = steps.view(np.uint8).reshape(rows, width)
+    lines[..., width] = ord(",")
+    lines[..., -1] = ord("\n")
+    slots = lines[..., width + 1:-1].reshape(len(lines), rows, dim, 25)
+    slots[..., :-1, 24] = ord(",")
+    for start in range(0, n, per):
+        chunk = dataset.trajectories[start:start + per]
+        slots[:len(chunk), ..., :24] = _fmt17_fields(chunk).reshape(len(chunk), rows, dim, 24)
+        for i in range(len(chunk)):
+            text = lines[i].tobytes().translate(None, b"\0")
+            (directory / f"traj_{start + i:05d}.csv").write_bytes(header + text)
 
 
 def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> TrajectoryDataset:
@@ -469,7 +526,10 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
 
     Each file must hold a header and ``horizon + 1`` rows of ``dim + 1``
     finite numbers, with one split tag per trajectory; malformed input
-    raises ``ValueError`` and a missing file ``OSError``.
+    raises ``ValueError`` and a missing file ``OSError``.  The lines after
+    the header are counted, blank ones included, before one ``np.loadtxt``
+    call parses them all; ``loadtxt`` rejects ragged rows and skips blank
+    lines, so its shape must match as well.
     """
     n, dim, horizon = (int(manifest[k]) for k in ("n_trajectories", "dim", "horizon"))
     if len(splits) != n:
@@ -477,17 +537,20 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
     trajs = np.empty((n, horizon + 1, dim))
     for i in range(n):
         name = f"traj_{i:05d}.csv"
-        rows = (directory / name).read_text().strip().splitlines()[1:]
-        widths = sorted({row.count(",") + 1 for row in rows})
-        if len(rows) != horizon + 1 or widths != [dim + 1]:
-            raise ValueError(f"{name}: {len(rows)} rows of {widths} columns, "
-                             f"expected {horizon + 1} rows of {dim + 1}")
-        # The shape is checked above: loadtxt alone would skip blank lines.
+        body = (directory / name).read_text().strip().partition("\n")[2]
+        n_lines = body.count("\n") + 1 if body else 0
+        if n_lines != horizon + 1:
+            raise ValueError(f"{name}: {n_lines} rows, expected {horizon + 1}")
         try:
-            trajs[i] = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)[:, 1:]
+            values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
         except ValueError as err:
             raise ValueError(f"{name}: {err}") from None
-    return TrajectoryDataset(trajs, tuple(splits), rep, float(dt), manifest.get("provenance", {}))
+        if values.shape != (horizon + 1, dim + 1):
+            raise ValueError(f"{name}: {values.shape[0]} rows of {values.shape[1]} columns, "
+                             f"expected {horizon + 1} rows of {dim + 1}")
+        trajs[i] = values[:, 1:]
+    return TrajectoryDataset._adopt(trajs, tuple(splits), rep, float(dt),
+                                    manifest.get("provenance", {}))
 
 
 def load_dataset(directory) -> TrajectoryDataset:

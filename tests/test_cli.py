@@ -215,6 +215,14 @@ def _corrupt(data_dir, case):
         lines.insert(4, "")
     elif case == "trailing_comma":
         lines[3] += ","
+    elif case == "blank_line_and_extra_row":
+        lines.insert(4, "")
+        lines.append(lines[-1])
+    elif case == "blank_line_for_a_row":
+        lines[4] = ""
+    elif case == "crlf":
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        return
     elif case == "empty":
         path.write_text("")
         return
@@ -226,8 +234,11 @@ def _corrupt(data_dir, case):
     [("truncated", 2, "traj_00001.csv"), ("extra_row", 2, "traj_00001.csv"),
      ("short_row", 2, "traj_00001.csv"), ("non_numeric", 2, "traj_00001.csv"),
      ("nan", 2, "non-finite"), ("missing_file", 4, "traj_00001.csv"),
-     ("empty", 2, "traj_00001.csv"), ("header_only", 2, "traj_00001.csv"),
-     ("blank_line", 2, "traj_00001.csv"), ("trailing_comma", 2, "traj_00001.csv")],
+     pytest.param("empty", 2, "traj_00001.csv", marks=pytest.mark.filterwarnings("error")),
+     pytest.param("header_only", 2, "traj_00001.csv", marks=pytest.mark.filterwarnings("error")),
+     ("blank_line", 2, "traj_00001.csv"), ("trailing_comma", 2, "traj_00001.csv"),
+     ("blank_line_and_extra_row", 2, "traj_00001.csv"),
+     ("blank_line_for_a_row", 2, "traj_00001.csv"), ("crlf", 0, "")],
 )
 def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
     cfg = load_config(write_config(tmp_path, variants=["edmd"]))
@@ -309,7 +320,16 @@ def test_config_rejects_unknown_variant(tmp_path):
      ("bool_batch", {}, ["training.batch=true"], "batch"),
      ("negative_lr", {}, ["training.lr=-1"], "lr"),
      ("null_observable", {}, ["training.observable=null"], "observable"),
-     ("edae_width", {"variants": ["dae", "edae"]}, ["training.width=5"], "width")],
+     ("edae_width", {"variants": ["dae", "edae"]}, ["training.width=5"], "width"),
+     ("negative_n_constraints", {}, ["n_constraints=-1"], "'n_constraints'"),
+     ("empty_offset_range", {}, ["constraint_offset_range=[]"], "'constraint_offset_range'"),
+     ("long_offset_range", {}, ["constraint_offset_range=[-2,-1,3]"], "'constraint_offset_range'"),
+     ("reversed_offset_range", {}, ["constraint_offset_range=[-1,-2]"], "'constraint_offset_range'"),
+     ("negative_sigma", {"sigma": -0.01}, [], "'sigma'"),
+     ("zero_n_train", {}, ["dataset.n_train=0"], "'dataset.n_train'"),
+     ("negative_n_test", {}, ["dataset.n_test=-1"], "'dataset.n_test'"),
+     ("zero_horizon", {}, ["dataset.horizon=0"], "'dataset.horizon'"),
+     ("zero_eval_horizon", {}, ["eval_horizon=0"], "'eval_horizon'")],
 )
 def test_bad_config_exit_codes(tmp_path, capsys, case, fields, flags, message):
     path = write_config(tmp_path, **fields)
@@ -375,8 +395,7 @@ def test_sweep_points_are_checked_configs(tmp_path, capsys, axis, values, flags,
     argv = ["sweep", str(path), "--axis", axis, "--values", values, "--workers", "1", "--out", str(out)]
     assert main(argv + [arg for flag in flags for arg in ("--set", flag)]) == 2
     assert message in capsys.readouterr().err
-    if not flags:  # an invalid axis value stops the sweep before any point runs
-        assert not out.exists()
+    assert not out.exists()  # a rejected config stops the sweep before any point runs
 
 
 def test_sweep_leaves_config_untouched(tmp_path):
