@@ -42,7 +42,7 @@ rep = conjugate_representation(plain, v, "scrambled")
 print(f"scrambled representation of {group.descriptor}, dim {rep.dim}")
 
 # Recover: multiplicities, offsets, and the aligned change of basis Q.
-basis = isotypic_basis(rep, table)
+basis = isotypic_basis(rep)
 print("\nrecovered blocks (label, irrep dim, multiplicity, offset):")
 for blk in basis.blocks:
     print(f"  {blk.label:5s} d={blk.irrep.dim} m={blk.multiplicity} offset={blk.offset}")

@@ -31,28 +31,31 @@ rng = np.random.default_rng(1)
 
 # The commutant of the C4 regular representation: one scalar per 1-D
 # irrep block plus the 2-generator algebra on the rotation block -> 4.
+# It is built from the isotypic basis alone, and its maps act in the
+# isotypic coordinates, where the group matrices are cb.rep.
 group = make_cyclic(4)
 reg = regular_representation(group)
 iso = isotypic_basis(reg)
-cb = commutant_basis(iso.rotated_rep(), iso.blocks)
+cb = commutant_basis(iso)
+rep_iso = cb.rep
 print(f"commutant of the C4 regular representation: {len(cb)} generators")
 for blk, sl in zip(cb.blocks, cb.block_slices):
     n = sl.stop - sl.start
     print(f"  block {blk.label}: {n} generator(s)")
 
 # Every generator commutes with every group matrix, exactly by layout:
-worst = max(equivariance_residual(b, iso.rotated_rep()) for b in cb.basis_matrices)
+worst = max(equivariance_residual(b, rep_iso) for b in cb.basis_matrices)
 print("largest commutation residual over generators:", f"{worst:.2e}")
 
 # Group averaging projects any matrix onto the commutant; the result
 # matches reconstruction through the generator coordinates.
 a = rng.standard_normal((4, 4))
-projected = equivariant_project(a, iso.rotated_rep())
+projected = equivariant_project(a, rep_iso)
 theta = coordinates(a, cb)
 recon = assemble(EquivariantLinearMap(cb, theta))
 print("\nrandom matrix, residual before averaging:",
-      f"{equivariance_residual(a, iso.rotated_rep()):.3f}")
-print("after averaging:", f"{equivariance_residual(projected, iso.rotated_rep()):.2e}")
+      f"{equivariance_residual(a, rep_iso):.3f}")
+print("after averaging:", f"{equivariance_residual(projected, rep_iso):.2e}")
 print("averaging == coordinate reconstruction:", f"{np.max(np.abs(projected - recon)):.2e}")
 
 # Free parameters make equivariant maps cheap to parameterize: assemble

@@ -224,6 +224,16 @@ def _fmt17_fields(x) -> np.ndarray:
     return fields
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", (int, float): "a number"}
+
+
+def typed(value, kind, name: str):
+    """``value`` if it is a ``kind`` of ``_KINDS`` and no ``bool``, else ``ValueError`` naming ``name``."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r:.40}")
+
+
 def encode_f64(arr: np.ndarray) -> str:
     """Base64 encoding of a float64 array in little-endian byte order."""
     return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")

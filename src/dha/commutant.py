@@ -22,7 +22,7 @@ import numpy as np
 
 from ._util import fingerprint, frozen_array
 from .groups import Representation, irreps_real
-from .isotypic import IsotypicBasis, block_diagonal_matrices
+from .isotypic import IsotypicBasis
 
 __all__ = [
     "CommutantBasis",
@@ -101,14 +101,15 @@ def _generator_table(blocks_out, blocks_in) -> _GeneratorTable:
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """Frobenius-orthonormal basis of the commutant of a block-diagonal rep.
+    """Frobenius-orthonormal basis of the commutant of a decomposed space.
+
+    Built by :func:`commutant_basis` from the space's isotypic basis alone;
+    the generators act in its isotypic coordinates.
 
     Attributes
     ----------
-    rep : Representation
-        The representation, expressed in an isotypic basis.
-    blocks : tuple of IsotypicBlock
-        Block layout of ``rep``.
+    iso : IsotypicBasis
+        The decomposed space; :attr:`blocks` and :attr:`rep` are read from it.
     table : _GeneratorTable
         The generators' nonzeros; each generator commutes with every group
         matrix and is block-diagonal.
@@ -116,13 +117,22 @@ class CommutantBasis:
         Coordinate range of each isotypic block's generators.
     """
 
-    rep: Representation
-    blocks: tuple
+    iso: IsotypicBasis
     table: _GeneratorTable
     block_slices: tuple
 
     def __len__(self):
         return self.table.n
+
+    @property
+    def blocks(self) -> tuple:
+        """Block layout of the decomposed space."""
+        return self.iso.blocks
+
+    @property
+    def rep(self) -> Representation:
+        """The space's representation in isotypic coordinates (``iso.rotated_rep()``)."""
+        return self.iso.rotated_rep()
 
     @property
     def basis_matrices(self) -> np.ndarray:
@@ -135,7 +145,7 @@ class CommutantBasis:
             for blk in self.blocks
         ]
         return fingerprint(
-            {"group": self.rep.group.descriptor, "dim": self.rep.dim, "blocks": layout}
+            {"group": self.iso.group.descriptor, "dim": self.iso.dim, "blocks": layout}
         )
 
 
@@ -155,23 +165,20 @@ class EquivariantLinearMap:
         object.__setattr__(self, "theta", theta)
 
 
-def commutant_basis(rep_iso: Representation, blocks) -> CommutantBasis:
-    """Basis of all maps commuting with a block-aligned representation.
+def commutant_basis(iso: IsotypicBasis) -> CommutantBasis:
+    """Basis of all maps commuting with the representation of a decomposed space.
 
-    ``rep_iso`` must be exactly block-diagonal in irrep copies per
-    ``blocks`` (residual above 1e-8 raises).  The basis size is
-    ``sum_i m_i^2 e_i`` with ``e_i`` the irrep endomorphism dimension.
+    The maps act in ``iso``'s isotypic coordinates, where the group
+    matrices must be block-diagonal in irrep copies: a conjugation residual
+    (``iso.tolerance_report``) above 1e-8 raises ``ValueError``.  The basis
+    size is ``sum_i m_i^2 e_i`` with ``e_i`` the irrep endomorphism dimension.
     """
-    blocks = tuple(blocks)
-    expected = block_diagonal_matrices(blocks, rep_iso.group.order, rep_iso.dim)
-    resid = float(np.max(np.linalg.norm(rep_iso.matrices - expected, axis=(1, 2))))
+    resid = iso.tolerance_report["conjugation"]
     if resid > 1e-8:
-        raise ValueError(
-            f"representation is not block-aligned with the given layout (residual {resid:.3e})"
-        )
-    ends = np.cumsum([0] + [blk.multiplicity ** 2 * blk.irrep.endomorphism_dim for blk in blocks])
+        raise ValueError(f"isotypic basis is not block-aligned with its layout (residual {resid:.3e})")
+    ends = np.cumsum([0] + [blk.multiplicity ** 2 * blk.irrep.endomorphism_dim for blk in iso.blocks])
     slices = tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
-    return CommutantBasis(rep_iso, blocks, _generator_table(blocks, blocks), slices)
+    return CommutantBasis(iso, _generator_table(iso.blocks, iso.blocks), slices)
 
 
 def hom_basis(basis_in: IsotypicBasis, basis_out: IsotypicBasis) -> np.ndarray:

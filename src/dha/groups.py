@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -46,7 +46,7 @@ class UnsupportedGroupError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group given by its composition table.
+    """A finite abelian group given by its composition table and cyclic factors.
 
     Attributes
     ----------
@@ -56,15 +56,16 @@ class FiniteGroup:
         ``compose_table[a, b]`` is the id of ``a * b``.
     inverse_table : ``(order,)`` ndarray of int
         Id of the inverse of each element.
-    structure_tag : tuple
-        Descriptor tree, either ``("cyclic", n)`` or
-        ``("product", tag_a, tag_b)``.
+    factors : tuple of int
+        Orders of the cyclic factors ``C_n``, most significant first; element
+        ids are mixed-radix numbers in these factors.  They name the group
+        (:attr:`descriptor`) and fix its irrep table (:func:`irreps_real`).
     """
 
     order: int
     compose_table: np.ndarray
     inverse_table: np.ndarray
-    structure_tag: tuple
+    factors: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "compose_table", frozen_array(self.compose_table, np.intp))
@@ -90,14 +91,10 @@ class FiniteGroup:
             k += 1
         return k
 
-    def cyclic_factors(self) -> tuple[int, ...]:
-        """Flatten the structure tag into its ordered cyclic factor sizes."""
-        return _flatten_tag(self.structure_tag)
-
     @property
     def descriptor(self) -> str:
         """Text form such as ``"C5"`` or ``"C2xC2"``."""
-        return "x".join(f"C{n}" for n in self.cyclic_factors())
+        return "x".join(f"C{n}" for n in self.factors)
 
     def check_associativity(self):
         """Exhaustively verify associativity (meant for orders <= 64)."""
@@ -122,16 +119,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.descriptor}, order={self.order})"
 
 
-def _flatten_tag(tag) -> tuple[int, ...]:
-    if not isinstance(tag, tuple) or not tag:
-        raise UnsupportedGroupError(f"malformed structure tag: {tag!r}")
-    if tag[0] == "cyclic":
-        return (int(tag[1]),)
-    if tag[0] == "product":
-        return _flatten_tag(tag[1]) + _flatten_tag(tag[2])
-    raise UnsupportedGroupError(f"unsupported group structure: {tag!r}")
-
-
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group ``C_n`` with ``compose(i, j) = (i + j) mod n``."""
     if n < 1:
@@ -139,7 +126,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     ids = np.arange(n)
     table = (ids[:, None] + ids[None, :]) % n
     inverse = (-ids) % n
-    return FiniteGroup(n, table, inverse, ("cyclic", int(n)))
+    return FiniteGroup(n, table, inverse, (int(n),))
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
@@ -158,7 +145,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, max_order: int = MAX_GROUP_OR
     cb = b.compose_table[np.ix_(ib, ib)]
     table = ca * b.order + cb
     inverse = a.inverse_table[ia] * b.order + b.inverse_table[ib]
-    return FiniteGroup(order, table, inverse, ("product", a.structure_tag, b.structure_tag))
+    return FiniteGroup(order, table, inverse, a.factors + b.factors)
 
 
 _FACTOR_RE = re.compile(r"^C(\d+)$")
@@ -251,17 +238,13 @@ class Irrep:
 
     ``field_type`` distinguishes absolutely irreducible irreps ("real",
     commutant = scalars) from rotation-type ones ("complex", commutant
-    spanned by I and the quarter-turn J).  ``angle_num`` stores, for each
-    element, the rotation angle as an integer numerator of ``2*pi/angle_den``;
-    1-dimensional irreps use angles in ``{0, angle_den/2}`` (characters +-1).
+    spanned by I and the quarter-turn J).
     """
 
     group: FiniteGroup
     matrices: np.ndarray
     field_type: str
     label: str
-    angle_num: tuple = field(repr=False, default=())
-    angle_den: int = field(repr=False, default=1)
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", frozen_array(self.matrices))
@@ -343,9 +326,9 @@ def _element_angle_table(group: FiniteGroup) -> tuple[np.ndarray, int]:
     of dual tuple ``j`` at element ``g``, in units of ``2*pi/den`` with
     ``den`` the group exponent.
     """
-    factors = group.cyclic_factors()
+    factors = group.factors
     if math.prod(factors) != group.order:
-        raise UnsupportedGroupError("structure tag does not match group order")
+        raise UnsupportedGroupError("cyclic factors do not match the group order")
     den = reduce(math.lcm, factors, 1)
     # Mixed-radix digits of each element id, most significant factor first;
     # dual tuples enumerate the same space, so one table serves both sides.
@@ -364,11 +347,11 @@ def _irrep_from_angles(group, angles, den, label) -> Irrep:
     if np.all((2 * angles) % den == 0):
         chi = np.where(angles == 0, 1.0, -1.0)
         mats = chi.reshape(-1, 1, 1)
-        return Irrep(group, mats, "real", label, tuple(int(a) for a in angles), den)
+        return Irrep(group, mats, "real", label)
     c, s = np.cos(theta), np.sin(theta)
     mats = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
     mats[0] = np.eye(2)
-    return Irrep(group, mats, "complex", label, tuple(int(a) for a in angles), den)
+    return Irrep(group, mats, "complex", label)
 
 
 def irreps_real(group: FiniteGroup) -> IrrepTable:

@@ -10,13 +10,13 @@ projectors and per-block component extraction built on top of it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._util import fingerprint, frozen_array
-from .groups import Irrep, IrrepTable, Representation, conjugate_representation, irreps_real
+from ._util import frozen_array
+from .groups import Irrep, Representation, conjugate_representation, irreps_real
 
 __all__ = [
     "DecompositionError",
@@ -62,21 +62,31 @@ class IsotypicBlock:
 
 @dataclass(frozen=True)
 class IsotypicBasis:
-    """Orthogonal change of basis exposing the isotypic block structure.
+    """A decomposed space: the orthogonal change of basis exposing its isotypic blocks.
 
     Rows of ``q`` are the new basis vectors expressed in the original one,
     so ``q @ rho(g) @ q.T`` is block-diagonal and equals, inside block
     ``i``, the direct sum of ``multiplicity`` copies of the stored irrep
-    matrices.
+    matrices.  This record is all the commutant
+    (:func:`~dha.commutant.commutant_basis`) and the models built on it need.
+
+    Construction measures the record once: ``tolerance_report`` holds its
+    ``"orthogonality"`` and ``"conjugation"`` residuals.  It rejects
+    nothing itself; :func:`isotypic_basis`, :func:`load_isotypic_basis`
+    and :func:`~dha.commutant.commutant_basis` each bound what they read.
     """
 
     q: np.ndarray
     blocks: tuple
     source_rep: Representation
-    tolerance_report: dict
+    tolerance_report: dict = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", frozen_array(self.q))
+        object.__setattr__(self, "tolerance_report", {
+            "orthogonality": self.orthogonality_residual(),
+            "conjugation": self.conjugation_residual(),
+        })
 
     @property
     def dim(self) -> int:
@@ -91,9 +101,12 @@ class IsotypicBasis:
         return conjugate_representation(self.source_rep, self.q, space_label or "isotypic")
 
     def conjugation_residual(self) -> float:
-        rotated = self.q @ self.source_rep.matrices @ self.q.T
-        exact = block_diagonal_matrices(self.blocks, self.group.order, self.dim)
-        return float(np.max(np.linalg.norm(rotated - exact, axis=(1, 2))))
+        """``max_g ||q rho(g) q^T - E(g)||_F``, ``E(g)`` the stored irrep copies of each block."""
+        diff = self.q @ self.source_rep.matrices @ self.q.T
+        for blk in self.blocks:
+            for o in range(blk.offset, blk.offset + blk.size, blk.irrep.dim):
+                diff[:, o:o + blk.irrep.dim, o:o + blk.irrep.dim] -= blk.irrep.matrices
+        return float(np.max(np.linalg.norm(diff, axis=(1, 2))))
 
     def orthogonality_residual(self) -> float:
         return float(np.linalg.norm(self.q @ self.q.T - np.eye(self.dim)))
@@ -103,25 +116,6 @@ class IsotypicBasis:
             if blk.label == label:
                 return blk.multiplicity
         return 0
-
-    def layout_fingerprint(self) -> str:
-        """Stable hash of the block layout, for checkpoint consistency checks."""
-        layout = [
-            [blk.label, blk.irrep.dim, blk.multiplicity, blk.offset, blk.irrep.endomorphism_dim]
-            for blk in self.blocks
-        ]
-        return fingerprint({"group": self.group.descriptor, "dim": self.dim, "blocks": layout})
-
-
-def block_diagonal_matrices(blocks, order: int, dim: int) -> np.ndarray:
-    """Exact ``(order, dim, dim)`` group matrices of a block layout, from stored irreps."""
-    out = np.zeros((order, dim, dim))
-    for blk in blocks:
-        d = blk.irrep.dim
-        for j in range(blk.multiplicity):
-            o = blk.offset + j * d
-            out[:, o:o + d, o:o + d] = blk.irrep.matrices
-    return out
 
 
 def character_projector(rep: Representation, irrep: Irrep) -> np.ndarray:
@@ -150,49 +144,42 @@ def _matrix_unit(rep: Representation, irrep: Irrep, k: int, l: int) -> np.ndarra
     return scale * np.einsum("g,gij->ij", coeff, rep.matrices)
 
 
-#: Bases computed with the default irrep table, keyed on the group (its
-#: descriptor tree and composition table), the space label and the matrix
-#: bytes; least recently used entries are dropped beyond ``_BASIS_CACHE_SIZE``.
+#: Computed bases, keyed on the group (its cyclic factors and composition
+#: table), the space label and the matrix bytes; least recently used
+#: entries are dropped beyond ``_BASIS_CACHE_SIZE``.
 _BASIS_CACHE: dict = {}
 _BASIS_CACHE_SIZE = 16
 
 
-def isotypic_basis(rep: Representation, table: IrrepTable | None = None) -> IsotypicBasis:
-    """Compute an isotypic basis of ``rep``.
+def isotypic_basis(rep: Representation) -> IsotypicBasis:
+    """Compute the isotypic basis of ``rep`` over the irreps of :func:`irreps_real`.
 
     Copies inside a component are aligned so the conjugated block equals
     exact direct sums of the stored irrep matrices: seeds are drawn from
     the image of the ``(0, 0)`` matrix-unit projector, each copy's basis
     is generated by the ``(k, 0)`` transfer operators, and copies are
     orthonormalized jointly.  Blocks with multiplicity zero are omitted.
+    Results are memoized: an equal representation gets the same basis
+    object as the first call.
 
     Raises
     ------
     DecompositionError
         If the conjugation residual exceeds 1e-6 after refinement.
-
-    Notes
-    -----
-    With the default irrep table (``table=None``) results are memoized: an
-    equal representation gets the same basis object as the first call.
     """
-    if table is not None:
-        return _compute_isotypic_basis(rep, table)
     group = rep.group
-    key = (group.structure_tag, group.compose_table.tobytes(), rep.space_label,
-           rep.matrices.tobytes())
+    key = (group.factors, group.compose_table.tobytes(), rep.space_label, rep.matrices.tobytes())
     basis = _BASIS_CACHE.pop(key, None)
     if basis is None:
-        basis = _compute_isotypic_basis(rep, irreps_real(group))
+        basis = _compute_isotypic_basis(rep)
     _BASIS_CACHE[key] = basis
     if len(_BASIS_CACHE) > _BASIS_CACHE_SIZE:
         del _BASIS_CACHE[next(iter(_BASIS_CACHE))]
     return basis
 
 
-def _compute_isotypic_basis(rep: Representation, table: IrrepTable) -> IsotypicBasis:
-    if table.group != rep.group:
-        raise ValueError("irrep table belongs to a different group")
+def _compute_isotypic_basis(rep: Representation) -> IsotypicBasis:
+    table = irreps_real(rep.group)
     dim = rep.dim
     rows = []
     blocks = []
@@ -212,17 +199,10 @@ def _compute_isotypic_basis(rep: Representation, table: IrrepTable) -> IsotypicB
             f"isotypic blocks account for {offset} of {dim} dimensions"
         )
     q = _joint_orthonormalize(np.array(rows))
-    basis = IsotypicBasis(q, tuple(blocks), rep, {})
-    report = {
-        "orthogonality": basis.orthogonality_residual(),
-        "conjugation": basis.conjugation_residual(),
-    }
-    object.__setattr__(basis, "tolerance_report", report)
-    if report["conjugation"] > 1e-6:
-        raise DecompositionError(
-            f"conjugation residual {report['conjugation']:.3e} exceeds 1e-6",
-            residual=report["conjugation"],
-        )
+    basis = IsotypicBasis(q, tuple(blocks), rep)
+    resid = basis.tolerance_report["conjugation"]
+    if resid > 1e-6:
+        raise DecompositionError(f"conjugation residual {resid:.3e} exceeds 1e-6", residual=resid)
     return basis
 
 
@@ -338,8 +318,9 @@ def save_isotypic_basis(basis: IsotypicBasis, path):
 def load_isotypic_basis(path, source_rep: Representation) -> IsotypicBasis:
     """Load a stored basis and re-verify its invariants against ``source_rep``.
 
-    Files whose recomputed orthogonality or conjugation residuals exceed
-    ten times the recorded tolerances are rejected.
+    Files whose measured orthogonality or conjugation residuals exceed
+    ten times the recorded tolerances (at least 1e-12) are rejected; the
+    loaded basis reports the measured residuals.
     """
     doc = json.loads(Path(path).read_text())
     if doc["group"] != source_rep.group.descriptor:
@@ -349,8 +330,7 @@ def load_isotypic_basis(path, source_rep: Representation) -> IsotypicBasis:
     dim = int(doc["dim"])
     if dim != source_rep.dim:
         raise ValueError(f"stored basis dim {dim} does not match representation dim {source_rep.dim}")
-    table = irreps_real(source_rep.group)
-    by_label = {ir.label: ir for ir in table}
+    by_label = {ir.label: ir for ir in irreps_real(source_rep.group)}
     blocks = []
     for entry in doc["blocks"]:
         irrep = by_label.get(entry["irrep"])
@@ -358,15 +338,10 @@ def load_isotypic_basis(path, source_rep: Representation) -> IsotypicBasis:
             raise ValueError(f"unknown irrep block {entry['irrep']!r}")
         blocks.append(IsotypicBlock(irrep, int(entry["m"]), int(entry["offset"])))
     q = np.array(doc["q"], dtype=np.float64).reshape(dim, dim)
-    basis = IsotypicBasis(q, tuple(blocks), source_rep, dict(doc["tolerance_report"]))
+    basis = IsotypicBasis(q, tuple(blocks), source_rep)
     recorded = doc["tolerance_report"]
-    floor = 1e-12
-    checks = {
-        "orthogonality": basis.orthogonality_residual(),
-        "conjugation": basis.conjugation_residual(),
-    }
-    for key, value in checks.items():
-        allowed = 10.0 * max(float(recorded.get(key, 0.0)), floor)
+    for key, value in basis.tolerance_report.items():
+        allowed = 10.0 * max(float(recorded.get(key, 0.0)), 1e-12)
         if value > allowed:
             raise ValueError(
                 f"stored basis fails verification: {key} residual {value:.3e} > {allowed:.3e}"

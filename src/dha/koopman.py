@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import decode_f64, encode_f64, fingerprint, fmt17
+from ._util import decode_f64, encode_f64, fingerprint, fmt17, typed
 from .commutant import (
     EquivariantLinearMap,
     _stamps,
@@ -138,7 +138,7 @@ def eedmd_fit(
         raise ValueError("snapshot matrices must be (dim, N) for the basis dimension")
     if ridge is None:
         ridge = default_ridge(x)
-    cbasis = commutant_basis(basis.rotated_rep(), basis.blocks)
+    cbasis = commutant_basis(basis)
     xr, yr = basis.q @ x, basis.q @ y
     theta = []
     for blk in basis.blocks:
@@ -452,7 +452,7 @@ def _new_model(variant, rep_x, config, rng) -> KoopmanModel:
     k, k_map = np.eye(L), None
     iso = latent_iso if latent_iso is not None else feature_iso
     if iso is not None:
-        cbasis = commutant_basis(iso.rotated_rep(), iso.blocks)
+        cbasis = commutant_basis(iso)
         k_map = EquivariantLinearMap(cbasis, coordinates(k, cbasis))
     return KoopmanModel(variant, rep_x, L, k, observable=observable, encoder=encoder,
                         decoder=decoder, k_map=k_map, latent_iso=latent_iso,
@@ -674,16 +674,17 @@ def load_model(path) -> KoopmanModel:
 
     The stored config is parsed like a config file's training block, so
     it passes the same field checks.  A header or payload that does not
-    describe that model raises ``ValueError``: an unknown variant or
+    describe that model raises ``ValueError``: a document, ``header``,
+    ``rep_x`` or payload field of the wrong JSON type, an unknown variant or
     config key, a config value of the wrong type or range, a
     ``latent_dim`` or observable other than the rebuilt model's, a
     commutant block layout that does not match, a payload of the wrong
     size, or a non-finite parameter.
     """
-    doc = json.loads(Path(path).read_text())
+    doc = typed(json.loads(Path(path).read_text()), dict, "checkpoint")
     if doc.get("format") != "dha-model-v1":
         raise ValueError("not a model checkpoint")
-    header = doc["header"]
+    header = typed(doc["header"], dict, "header")
     rep_x = rep_from_descriptor(header["rep_x"])
     config = _parse_train_config(header["config"])
     model = _new_model(header["variant"], rep_x, config, np.random.default_rng(config.seed))
@@ -696,8 +697,8 @@ def load_model(path) -> KoopmanModel:
     if model.k_map is not None and header.get("basis_fingerprint") != model.k_map.basis.layout_fingerprint():
         raise ValueError("checkpoint block layout does not match the rebuilt basis")
     *nets, k = _model_params(model)
-    flat = decode_f64(doc.get("net_params", ""))
-    k_param = decode_f64(doc["k_payload"]["data"])
+    flat = decode_f64(typed(doc.get("net_params", ""), str, "net_params"))
+    k_param = decode_f64(typed(typed(doc["k_payload"], dict, "k_payload")["data"], str, "k_payload.data"))
     if flat.size != sum(p.size for p in nets) or k_param.size != k.size:
         raise ValueError("checkpoint parameter payload does not match the architecture")
     if not (np.all(np.isfinite(flat)) and np.all(np.isfinite(k_param))):

@@ -25,6 +25,7 @@ from ._util import (
     fingerprint,
     fmt17,
     frozen_array,
+    typed,
 )
 from .commutant import equivariance_residual, equivariant_project
 from .groups import FiniteGroup, Representation, group_from_descriptor, regular_rep_copies
@@ -215,8 +216,8 @@ def _noise_blocks(keys, steps: int, dim: int, sigma: float):
 
 
 def _project_constraints(x, C, c, max_passes: int = 8):
-    # Cyclic projection converges geometrically; after max_passes, slop on
-    # near-opposed rows is accepted and larger violations keep cycling.
+    # Cyclic projection converges geometrically; after max_passes a violation
+    # up to 1e-6 is accepted, and larger ones keep cycling up to 8 * max_passes.
     for n_pass in range(1, 8 * max_passes + 1):
         clean = True
         for k in range(C.shape[0]):
@@ -257,7 +258,11 @@ def _simulate(system: SymmetricLinearSystem, x0: np.ndarray, steps: int, noise) 
         if C.shape[0]:
             margin = 1e-9 * (1.0 + np.abs(x).max(axis=1, keepdims=True) * c_norm1 + np.abs(c))
             for i in np.flatnonzero(~np.all(x @ C.T - c >= margin, axis=1)):
-                x[i] = _project_constraints(x[i], C, c)
+                try:
+                    x[i] = _project_constraints(x[i], C, c)
+                except InfeasibilityError as err:
+                    raise InfeasibilityError(f"trajectory {i}, step {t + 1}: {err}; max|x| "
+                                             f"{np.abs(x[i]).max():.3e} before projection") from None
         trajs[:, t + 1] = x
     return trajs
 
@@ -272,7 +277,8 @@ def rollout(
     """Simulate ``steps`` transitions; returns ``(steps + 1, dim)`` with row 0 = x0.
 
     Violated constraint rows are handled after each step by projection onto
-    the offending half-space, iterated in row order for at most 8 passes.
+    the offending half-space, iterated in row order for up to 64 passes (a
+    violation up to 1e-6 is accepted after 8; past 64 the error names the step).
     Pass ``noise`` to override the seeded stream (same shape as
     :func:`system_noise` returns).  This is the one-trajectory case of the
     batched simulator :func:`generate_dataset` uses, so a rollout equals the
@@ -461,10 +467,12 @@ def rep_descriptor(rep: Representation) -> dict:
 
 
 def rep_from_descriptor(desc: dict) -> Representation:
-    group = group_from_descriptor(desc["group"])
+    """Inverse of :func:`rep_descriptor`; a field of the wrong type raises ``ValueError`` naming it."""
+    group = group_from_descriptor(typed(typed(desc, dict, "rep_x")["group"], str, "rep_x.group"))
     if desc.get("kind", "regular_copies") == "regular_copies":
-        return regular_rep_copies(group, int(desc["copies"]) * group.order, "X")
-    mats = decode_f64(desc["matrices"], (group.order, int(desc["dim"]), int(desc["dim"])))
+        return regular_rep_copies(group, typed(desc["copies"], int, "rep_x.copies") * group.order, "X")
+    dim = typed(desc["dim"], int, "rep_x.dim")
+    mats = decode_f64(typed(desc["matrices"], str, "rep_x.matrices"), (group.order, dim, dim))
     return Representation(group, mats, "X")
 
 
@@ -531,7 +539,7 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
     call parses them all; ``loadtxt`` rejects ragged rows and skips blank
     lines, so its shape must match as well.
     """
-    n, dim, horizon = (int(manifest[k]) for k in ("n_trajectories", "dim", "horizon"))
+    n, dim, horizon = (manifest[k] for k in ("n_trajectories", "dim", "horizon"))
     if len(splits) != n:
         raise ValueError(f"{len(splits)} split tags for {n} trajectories")
     trajs = np.empty((n, horizon + 1, dim))
@@ -553,10 +561,20 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
                                     manifest.get("provenance", {}))
 
 
+def _read_manifest(directory: Path) -> dict:
+    """A dataset's ``manifest.json``; a field of the wrong type raises ``ValueError`` naming it."""
+    manifest = typed(json.loads((directory / "manifest.json").read_text()), dict, "manifest")
+    for key, kind in (("n_trajectories", int), ("dim", int), ("horizon", int), ("splits", list),
+                      ("dt", (int, float))):
+        if key in manifest:
+            typed(manifest[key], kind, key)
+    return manifest
+
+
 def load_dataset(directory) -> TrajectoryDataset:
     """Read a dataset written by :func:`save_dataset`; malformed files raise ``ValueError``."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest = _read_manifest(directory)
     return _read_dataset(directory, manifest, rep_from_descriptor(manifest["rep_x"]),
                          manifest["splits"], manifest["dt"])
 
@@ -569,10 +587,10 @@ def import_trajectories(directory, rep_x: Representation | dict, splits=None) ->
     tags or provenance present in the manifest are kept unless overridden.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest = _read_manifest(directory)
     rep = rep_x if isinstance(rep_x, Representation) else rep_from_descriptor(rep_x)
     if rep.dim != manifest["dim"]:
         raise ValueError(f"representation dim {rep.dim} does not match recorded width {manifest['dim']}")
     if splits is None:
-        splits = manifest.get("splits", ["test"] * int(manifest["n_trajectories"]))
+        splits = manifest.get("splits", ["test"] * manifest["n_trajectories"])
     return _read_dataset(directory, manifest, rep, splits, manifest.get("dt", 1.0))

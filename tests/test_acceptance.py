@@ -79,7 +79,7 @@ def test_criterion_1_harmonic_correctness():
             if mults.sum() == 0:
                 mults[0] = 1
             rep = scrambled(group, table, mults, rng)
-            basis = isotypic_basis(rep, table)
+            basis = isotypic_basis(rep)
             recovered = [basis.multiplicity_of(ir.label) for ir in table]
             assert recovered == list(mults)
             assert basis.conjugation_residual() <= 1e-8
@@ -100,7 +100,7 @@ def test_criterion_2_commutant_oracle():
         group = group_from_descriptor(desc)
         reg = regular_representation(group)
         iso = isotypic_basis(reg)
-        cb = commutant_basis(iso.rotated_rep(), iso.blocks)
+        cb = commutant_basis(iso)
         d = reg.dim
         rows = [
             np.kron(reg.matrices[g], np.eye(d)) - np.kron(np.eye(d), reg.matrices[g].T)
@@ -132,7 +132,7 @@ def test_criterion_3_equivariant_fit_oracle():
             if 2 <= dim <= 8:
                 break
         rep = scrambled(group, table, mults, rng)
-        iso = isotypic_basis(rep, table)
+        iso = isotypic_basis(rep)
         n = rep.dim + 3
         x = rng.standard_normal((rep.dim, n))
         y = rng.standard_normal((rep.dim, n))
@@ -160,7 +160,7 @@ def test_criterion_4_exact_recovery():
         rep = regular_rep_copies(group, m, "X")
         system = random_symmetric_stable_system(group, rep, 0.95, seed=seed)
         iso = isotypic_basis(rep)
-        cb = commutant_basis(iso.rotated_rep(), iso.blocks)
+        cb = commutant_basis(iso)
         n = len(cb) + 2
         rng = np.random.default_rng(1000 + seed)
         x = rng.standard_normal((m, n))
@@ -381,7 +381,7 @@ def test_criterion_9_parseval_and_spectrum():
     energies = np.sum(comps * comps, axis=2).sum(axis=0)
     assert np.max(np.abs(energies - np.sum(vectors * vectors, axis=1))) <= 1e-12
 
-    cb = commutant_basis(basis.rotated_rep(), basis.blocks)
+    cb = commutant_basis(basis)
     for _ in range(1000):
         emap = EquivariantLinearMap(cb, rng.standard_normal(len(cb)))
         rep_spec = spectrum(emap)

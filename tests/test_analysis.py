@@ -26,7 +26,7 @@ from dha.systems import (
 
 def commutant_of(rep):
     iso = isotypic_basis(rep)
-    return iso, commutant_basis(iso.rotated_rep(), iso.blocks)
+    return iso, commutant_basis(iso)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +143,9 @@ def test_decoupled_block_stays_empty_under_rollout():
     rep = regular_rep_copies(g, 4)
     basis = isotypic_basis(rep)
     rng = np.random.default_rng(3)
-    iso_rep = basis.rotated_rep()
     from dha.commutant import commutant_basis as cbasis_fn
 
-    cb = cbasis_fn(iso_rep, basis.blocks)
+    cb = cbasis_fn(basis)
     theta = rng.standard_normal(len(cb))
     k_iso = np.einsum("l,lij->ij", theta, cb.basis_matrices)
     k_iso *= 0.9 / np.max(np.abs(np.linalg.eigvals(k_iso)))

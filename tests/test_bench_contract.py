@@ -3,12 +3,13 @@
 ``perfbench/tracer.py`` swaps named module-level functions and ``Network``
 methods of ``dha`` for timing wrappers.  A refactor of ``src/`` that
 renames or removes one of them would break ``perfbench/run.py --trace 1``;
-these tests catch that, and check that uninstalling restores every
-original object.
+these tests catch that, check that uninstalling restores every original
+object, and run every probe on the arguments and result of one real call.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -64,3 +65,34 @@ def test_install_wraps_and_uninstall_restores(tracer_module):
         assert after[key] is value, key
     for (module, cls, attr), original in methods.items():
         assert vars(getattr(sys.modules[module], cls))[attr] is original
+
+
+def _probe_calls(tmp_path):
+    """One small call per probed trace target: span name -> positional arguments."""
+    group = dha.group_from_descriptor("C2")
+    rep = dha.regular_rep_copies(group, 4, "X")
+    iso = dha.isotypic_basis(rep)
+    system = dha.random_symmetric_stable_system(group, rep, 0.9, sigma=0.01, seed=0)
+    data = dha.generate_dataset(system, n_train=3, n_test=0, horizon=5, seed=0)
+    x, y = dha.snapshot_pairs(data)
+    return {
+        "isotypic.isotypic_basis": (rep,),
+        "commutant.hom_basis": (iso, iso),
+        "commutant.commutant_basis": (iso,),
+        "koopman.eedmd_fit": (x, y, iso),
+        "systems.save_dataset": (data, tmp_path / "data"),
+        "koopman.save_model": (dha.train("edmd", data, dha.TrainConfig()), tmp_path / "model.json"),
+    }
+
+
+def test_every_probe_reads_a_real_call(tracer_module, tmp_path):
+    calls = _probe_calls(tmp_path)
+    assert calls.keys() == tracer_module.PROBES.keys()
+    targets = {name: (module, attr) for name, module, attr in tracer_module.FUNCTIONS}
+    for name, probe in tracer_module.PROBES.items():
+        module, attr = targets[name]
+        fn = getattr(importlib.import_module(module), attr)
+        result = fn(*calls[name])
+        # Bound as Tracer._wrap binds a traced call before handing it to the probe.
+        attrs = probe(inspect.signature(fn).bind(*calls[name]).arguments, result)
+        assert isinstance(attrs, dict) and attrs, name

@@ -192,8 +192,18 @@ def test_fit_neural_variant_through_cli(tmp_path):
     assert any(spec_dir.glob("spectrum_edae_seed0.json"))
 
 
+#: Manifest fields given a value of the wrong type, by case name.
+MANIFEST_CASES = {"null_n_trajectories": ("n_trajectories", None), "number_splits": ("splits", 5)}
+
+
 def _corrupt(data_dir, case):
-    """Damage one trajectory file of a saved dataset in the named way."""
+    """Damage one trajectory file, or a manifest field, of a saved dataset in the named way."""
+    if case in MANIFEST_CASES:
+        key, value = MANIFEST_CASES[case]
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest[key] = value
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        return
     path = data_dir / "traj_00001.csv"
     lines = path.read_text().splitlines()
     if case == "missing_file":
@@ -238,7 +248,8 @@ def _corrupt(data_dir, case):
      pytest.param("header_only", 2, "traj_00001.csv", marks=pytest.mark.filterwarnings("error")),
      ("blank_line", 2, "traj_00001.csv"), ("trailing_comma", 2, "traj_00001.csv"),
      ("blank_line_and_extra_row", 2, "traj_00001.csv"),
-     ("blank_line_for_a_row", 2, "traj_00001.csv"), ("crlf", 0, "")],
+     ("blank_line_for_a_row", 2, "traj_00001.csv"), ("crlf", 0, ""),
+     ("null_n_trajectories", 2, "n_trajectories"), ("number_splits", 2, "splits")],
 )
 def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
     cfg = load_config(write_config(tmp_path, variants=["edmd"]))
@@ -252,7 +263,7 @@ CHECKPOINT = Path(__file__).resolve().parent / "data" / "checkpoint_edae_c3.json
 
 
 def _corrupt_checkpoint(doc, case):
-    """Damage a loaded ``edae`` checkpoint document in the named way."""
+    """Damage a loaded ``edae`` checkpoint document in the named way; returns the document."""
     header = doc["header"]
     if case == "unknown_config_key":
         header["config"]["bogus"] = 1
@@ -276,6 +287,15 @@ def _corrupt_checkpoint(doc, case):
         header["config"]["seed"] = "x"
     elif case == "string_width":
         header["config"]["width"] = "6"
+    elif case == "string_rep_x":
+        header["rep_x"] = "C2"
+    elif case == "list_header":
+        doc["header"] = []
+    elif case == "number_k_data":
+        doc["k_payload"]["data"] = 5
+    elif case == "list_document":
+        return [1, 2]
+    return doc
 
 
 @pytest.mark.parametrize(
@@ -284,11 +304,11 @@ def _corrupt_checkpoint(doc, case):
      ("latent_dim", "latent_dim"), ("block_layout", "block layout"),
      ("nan_net_params", "non-finite"), ("inf_theta", "non-finite"),
      ("short_net_params", "payload does not match"), ("string_seed", "seed"),
-     ("string_width", "width")],
+     ("string_width", "width"), ("string_rep_x", "rep_x"), ("list_header", "header"),
+     ("number_k_data", "k_payload.data"), ("list_document", "checkpoint")],
 )
 def test_corrupt_checkpoint_exit_codes(tmp_path, capsys, case, message):
-    doc = json.loads(CHECKPOINT.read_text())
-    _corrupt_checkpoint(doc, case)
+    doc = _corrupt_checkpoint(json.loads(CHECKPOINT.read_text()), case)
     path = tmp_path / "model_edae_seed0.json"
     path.write_text(json.dumps(doc))
     assert main(["spectra", str(path), "--out", str(tmp_path / "sp")]) == 2

@@ -20,14 +20,14 @@ from dha.groups import (
     regular_representation,
     regular_rep_copies,
 )
-from dha.isotypic import isotypic_basis
+from dha.isotypic import IsotypicBasis, isotypic_basis
 
 from conftest import ABELIAN_GROUPS_LE_16
 
 
-def iso_and_commutant(rep, table=None):
-    iso = isotypic_basis(rep, table)
-    return iso, commutant_basis(iso.rotated_rep(), iso.blocks)
+def iso_and_commutant(rep):
+    iso = isotypic_basis(rep)
+    return iso, commutant_basis(iso)
 
 
 def brute_force_commutant_dim(rep):
@@ -93,7 +93,7 @@ def test_misaligned_rep_rejected():
     reg = regular_representation(g)
     iso = isotypic_basis(reg)
     with pytest.raises(ValueError, match="block-aligned"):
-        commutant_basis(reg, iso.blocks)  # raw rep, not rotated
+        commutant_basis(IsotypicBasis(iso.q[::-1], iso.blocks, reg))  # rows out of block order
 
 
 # ---------------------------------------------------------------------------

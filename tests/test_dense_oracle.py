@@ -102,7 +102,7 @@ def test_hom_basis_matches_oracle(case):
 def test_commutant_basis_matches_oracle(case):
     for name in ("a", "b"):
         iso = case[name][1]
-        cb = commutant_basis(iso.rotated_rep(), iso.blocks)
+        cb = commutant_basis(iso)
         ref = oracle_commutant(iso)
         assert len(cb) == ref.shape[0]
         assert rel_err(cb.basis_matrices, ref) <= TOL
@@ -112,7 +112,7 @@ def test_commutant_basis_matches_oracle(case):
 def test_assemble_and_coordinates_match_oracle(case):
     rng = np.random.default_rng(3)
     iso = case["a"][1]
-    cb = commutant_basis(iso.rotated_rep(), iso.blocks)
+    cb = commutant_basis(iso)
     ref = oracle_commutant(iso)
     theta = rng.standard_normal(len(cb))
     assert rel_err(assemble(EquivariantLinearMap(cb, theta)), np.einsum("l,lij->ij", theta, ref)) <= TOL

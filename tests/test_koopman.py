@@ -177,6 +177,33 @@ def test_overflow_identifies_horizon_step():
     assert err.value.horizon_step == 2
 
 
+@pytest.mark.parametrize("desc", ["C3", "C2xC2"])
+@pytest.mark.parametrize("variant", ["dae", "dae_aug", "edae"])
+def test_dae_loss_is_the_loss_training_minimizes(desc, variant):
+    # dae_loss (one window, default gamma) and the training step's batch loss
+    # are two implementations of one loss: they agree per window and on the mean.
+    from dha.koopman import _apply_params, _batch_loss_and_grads, _model_params, _new_model
+
+    group = group_from_descriptor(desc)
+    rep = regular_rep_copies(group, 2 * group.order, "X")
+    cfg = TrainConfig(latent_dim=group.order, horizon=6, hidden_layers=1, width=2 * group.order)
+    rng = np.random.default_rng(5)
+    model = _new_model(variant, rep, cfg, rng)
+    _apply_params(model, [p + 0.1 * rng.standard_normal(p.shape) for p in _model_params(model)])
+    windows = rng.standard_normal((5, cfg.horizon + 1, rep.dim))
+    gamma = float(np.sqrt(rep.dim / cfg.latent_dim))  # train's default
+
+    def batch_loss(w):
+        return _batch_loss_and_grads(model.encoder, model.decoder, model.k_matrix, w, gamma,
+                                     need_grads=False)[0]
+
+    per_window = [dae_loss(model, w)[0] for w in windows]
+    for w, want in zip(windows, per_window):
+        assert abs(batch_loss(w[None]) - want) <= 1e-12 * abs(want)
+    mean = float(np.mean(per_window))
+    assert abs(batch_loss(windows) - mean) <= 1e-12 * abs(mean)
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -363,7 +390,7 @@ def test_eigenvector_orbit_law():
     iso = isotypic_basis(rep)
     from dha.commutant import commutant_basis, EquivariantLinearMap
 
-    cb = commutant_basis(iso.rotated_rep(), iso.blocks)
+    cb = commutant_basis(iso)
     emap = EquivariantLinearMap(cb, rng.standard_normal(len(cb)))
     k = assemble(emap)
     rho = iso.rotated_rep()

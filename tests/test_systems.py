@@ -274,6 +274,20 @@ def test_infeasible_box_error_names_last_box():
         generate_dataset(sys0, n_train=1, n_test=0, horizon=3, init_box=1.0, seed=0)
 
 
+def test_diverging_projected_loop_error_names_trajectory_step_and_size():
+    # No two constraint rows are nearly opposed, yet the projected closed
+    # loop diverges (A has spectral radius 0.95 but norm 1.57): at ~3e11 a
+    # 1e-6 violation is below rounding and 64 projection passes cannot close it.
+    g = group_from_descriptor("C2xC2")
+    rep = regular_rep_copies(g, 12, "X")
+    sys0 = random_symmetric_stable_system(g, rep, 0.95, sigma=0.01, n_constraints=2, seed=81,
+                                          offset_range=(-2.0, -1.0))
+    rows = sys0.constraint_rows / np.linalg.norm(sys0.constraint_rows, axis=1, keepdims=True)
+    assert np.min(rows @ rows.T) > 0.2
+    with pytest.raises(InfeasibilityError, match=r"^trajectory 9, step 174: .* max\|x\| 3\.186e\+11"):
+        generate_dataset(sys0, n_train=12, n_test=0, horizon=500, seed=81)
+
+
 def test_dataset_files_roundtrip_and_determinism(tmp_path):
     g = make_cyclic(3)
     rep = regular_rep_copies(g, 6)
