@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import fmt17
-from .commutant import EquivariantLinearMap, assemble
+from .commutant import EquivariantLinearMap, assemble, equivariance_residual
 from .isotypic import IsotypicBasis, isotypic_project
 from .koopman import KoopmanModel, predict_batch
 from .systems import TrajectoryDataset, orbit_representative
@@ -30,7 +30,6 @@ __all__ = [
     "isotypic_energy",
     "prediction_mse",
     "emit_plot_data",
-    "read_series_csv",
 ]
 
 
@@ -43,9 +42,6 @@ class SpectrumReport:
     eigenvectors: list
     spectral_radius: float
     orbit_residual: float | None = None
-
-    def all_eigenvalues(self) -> np.ndarray:
-        return np.concatenate(self.eigenvalues) if self.eigenvalues else np.zeros(0, complex)
 
     def to_json(self) -> dict:
         return {
@@ -146,14 +142,21 @@ def isotypic_energy(trajectory: np.ndarray, basis: IsotypicBasis, weights=None) 
     """Split a trajectory's squared norm across isotypic components.
 
     ``weights`` is an optional diagonal weighting (e.g. masses) applied as
-    a coordinate rescaling before projection; it must be constant on the
-    coordinate orbits of the representation for the split to remain exact.
+    a coordinate rescaling before projection.  It must hold ``dim`` finite
+    values ``>= 0`` and be constant on the coordinate orbits of the
+    representation (``diag(w)`` commutes with it to 1e-10 relative), which
+    keeps the split exact; other weights raise ``ValueError``.
     """
     traj = np.asarray(trajectory, dtype=np.float64)
     if traj.ndim != 2 or traj.shape[1] != basis.dim:
         raise ValueError(f"trajectory must be (T, {basis.dim})")
     if weights is not None:
-        traj = traj * np.sqrt(np.asarray(weights, dtype=np.float64))
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (basis.dim,) or not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError(f"weights must be {basis.dim} finite numbers >= 0, got {weights!r:.60}")
+        if equivariance_residual(np.diag(w), basis.source_rep) > 1e-10 * max(1.0, w.max()):
+            raise ValueError("weights must be constant on the coordinate orbits of the representation")
+        traj = traj * np.sqrt(w)
     energies = np.zeros((len(basis.blocks), traj.shape[0]))
     for i in range(len(basis.blocks)):
         comp = isotypic_project(traj, basis, i)
@@ -182,11 +185,10 @@ class PredictionError:
         }
 
 
-def prediction_mse(model: KoopmanModel, dataset: TrajectoryDataset, horizon: int,
-                   split: str = "test") -> PredictionError:
-    """Mean cumulative squared error of ``horizon``-step predictions.
+def prediction_mse(model: KoopmanModel, dataset: TrajectoryDataset, horizon: int) -> PredictionError:
+    """Mean cumulative squared error of ``horizon``-step predictions on the test split.
 
-    For every trajectory in the split the model is rolled out from the
+    For every test trajectory the model is rolled out from the
     initial state and compared to the recorded states; the aggregate is
     the mean over trajectories of ``sum_{h=1..H} ||xhat_h - x_h||^2``,
     also reported per horizon step and broken down by the quotient copy of
@@ -196,9 +198,9 @@ def prediction_mse(model: KoopmanModel, dataset: TrajectoryDataset, horizon: int
     """
     if horizon < 1:
         raise ValueError(f"prediction horizon must be at least 1, got {horizon}")
-    trajs = dataset.split(split)
+    trajs = dataset.split("test")
     if trajs.shape[0] == 0:
-        raise ValueError(f"no trajectories in split {split!r}")
+        raise ValueError("no trajectories in split 'test'")
     if horizon > trajs.shape[1] - 1:
         raise ValueError(f"horizon {horizon} exceeds trajectory length {trajs.shape[1] - 1}")
     preds = predict_batch(model, trajs[:, 0], horizon)
@@ -249,20 +251,6 @@ def emit_plot_data(series: dict, base_path, title: str = "", log_y: bool = False
     csv_path.write_text("\n".join(lines) + "\n")
     svg_path.write_text(_render_svg(series, title, log_y, x_label, y_label))
     return csv_path, svg_path
-
-
-def read_series_csv(path) -> dict:
-    """Inverse of the CSV side of :func:`emit_plot_data` (bit exact)."""
-    out = {}
-    lines = Path(path).read_text().strip().splitlines()
-    if lines[0] != "series,x,y":
-        raise ValueError("not a series CSV")
-    for line in lines[1:]:
-        name, x, y = line.split(",")
-        out.setdefault(name, ([], []))
-        out[name][0].append(float(x))
-        out[name][1].append(float(y))
-    return {k: (np.array(v[0]), np.array(v[1])) for k, v in out.items()}
 
 
 def _ticks(lo, hi, n=5):

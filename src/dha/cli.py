@@ -37,6 +37,7 @@ from .koopman import (
 from .nets import TrainingDivergenceError
 from .systems import (
     InfeasibilityError,
+    _init_bounds,
     generate_dataset,
     load_dataset,
     random_symmetric_stable_system,
@@ -176,6 +177,7 @@ def validate_config(config: dict):
     Keys and value types must follow ``DEFAULT_CONFIG`` (an unknown key
     at any level is an error), each setting in ``_LOWER_BOUNDS`` must reach
     its bound, ``constraint_offset_range`` must be a ``[low, high]`` pair,
+    ``dataset.init_box`` must pass :func:`~dha.systems._init_bounds`,
     the training block must parse as a :class:`TrainConfig`, and every
     variant must be buildable from it for the group, so no run starts on a
     config that a later run rejects.
@@ -198,6 +200,7 @@ def validate_config(config: dict):
         )
     if not 0.0 < config["spectral_radius"] < 1.0:
         raise ValueError("spectral_radius must lie in (0, 1)")
+    _init_bounds(config["dataset"]["init_box"], config["state_dim"])
     seeds = config["seeds"]
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {seeds}")
@@ -400,7 +403,9 @@ def cmd_sweep(config: dict, axis: str, values, out_dir=None, workers: int | None
 
 
 def cmd_decompose(dataset_dir, out_dir=None, limit: int = 8) -> Path:
-    """Isotypic basis of a dataset's state space plus per-trajectory energy."""
+    """Isotypic basis of a dataset's state space plus the energy of the first ``limit`` trajectories."""
+    if limit < 0:
+        raise ValueError(f"trajectory limit must be at least 0, got {limit}")
     dataset = load_dataset(dataset_dir)
     out = Path(out_dir) if out_dir else Path(dataset_dir) / "decomposition"
     out.mkdir(parents=True, exist_ok=True)

@@ -14,9 +14,7 @@ reading its coordinates one gather.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,8 +32,6 @@ __all__ = [
     "equivariant_project",
     "equivariance_residual",
     "hom_space_dimension",
-    "save_equivariant_map",
-    "load_equivariant_map",
 ]
 
 #: The quarter-turn generator of the rotation-type endomorphism algebra.
@@ -247,22 +243,3 @@ def hom_space_dimension(rep_a: Representation, rep_b: Representation) -> int:
     endo = np.array([ir.endomorphism_dim for ir in table])
     return int(np.sum(table.multiplicities(rep_a) * table.multiplicities(rep_b) * endo))
 
-
-def save_equivariant_map(emap: EquivariantLinearMap, path):
-    doc = {
-        "basis_fingerprint": emap.basis.layout_fingerprint(),
-        "theta": [float(v) for v in emap.theta],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
-
-
-def load_equivariant_map(path, basis: CommutantBasis) -> EquivariantLinearMap:
-    """Load coordinates, verifying the stored fingerprint against ``basis``."""
-    doc = json.loads(Path(path).read_text())
-    have = basis.layout_fingerprint()
-    if doc["basis_fingerprint"] != have:
-        raise ValueError(
-            "stored map was built over a different block layout "
-            f"({doc['basis_fingerprint'][:12]}... != {have[:12]}...)"
-        )
-    return EquivariantLinearMap(basis, np.array(doc["theta"], dtype=np.float64))

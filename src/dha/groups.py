@@ -84,26 +84,10 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def element_order(self, a: int) -> int:
-        k, g = 1, a
-        while g != 0:
-            g = self.compose(g, a)
-            k += 1
-        return k
-
     @property
     def descriptor(self) -> str:
         """Text form such as ``"C5"`` or ``"C2xC2"``."""
         return "x".join(f"C{n}" for n in self.factors)
-
-    def check_associativity(self):
-        """Exhaustively verify associativity (meant for orders <= 64)."""
-        t = self.compose_table
-        # (a*b)*c vs a*(b*c) for all triples, vectorized.
-        left = t[t, :]            # left[a, b, c] = (a*b)*c
-        right = t[:, t]           # right[a, b, c] = a*(b*c)
-        if not np.array_equal(left, right):
-            raise AssertionError("composition table is not associative")
 
     def __eq__(self, other):
         return (
@@ -211,21 +195,6 @@ class Representation:
     def character(self) -> np.ndarray:
         """Trace of each element's matrix, in element-id order."""
         return np.trace(self.matrices, axis1=1, axis2=2)
-
-    def validate(self, tol: float = 1e-10):
-        """Check orthogonality, the homomorphism property and rho(e) = I."""
-        eye = np.eye(self.dim)
-        if not np.array_equal(self.matrices[0], eye):
-            raise AssertionError("identity element is not represented by I")
-        gram = np.einsum("gij,gkj->gik", self.matrices, self.matrices)
-        worst = np.max(np.linalg.norm(gram - eye, axis=(1, 2)))
-        if worst > tol:
-            raise AssertionError(f"orthogonality residual {worst:.3e} > {tol:.1e}")
-        prod = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
-        expected = self.matrices[self.group.compose_table]
-        worst = np.max(np.linalg.norm(prod - expected, axis=(2, 3)))
-        if worst > tol:
-            raise AssertionError(f"homomorphism residual {worst:.3e} > {tol:.1e}")
 
     def __repr__(self):
         label = f", space={self.space_label!r}" if self.space_label else ""

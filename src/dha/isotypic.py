@@ -27,7 +27,6 @@ __all__ = [
     "isotypic_project",
     "is_g_stable",
     "save_isotypic_basis",
-    "load_isotypic_basis",
 ]
 
 
@@ -72,8 +71,8 @@ class IsotypicBasis:
 
     Construction measures the record once: ``tolerance_report`` holds its
     ``"orthogonality"`` and ``"conjugation"`` residuals.  It rejects
-    nothing itself; :func:`isotypic_basis`, :func:`load_isotypic_basis`
-    and :func:`~dha.commutant.commutant_basis` each bound what they read.
+    nothing itself; :func:`isotypic_basis` and
+    :func:`~dha.commutant.commutant_basis` each bound what they read.
     """
 
     q: np.ndarray
@@ -96,9 +95,9 @@ class IsotypicBasis:
     def group(self):
         return self.source_rep.group
 
-    def rotated_rep(self, space_label: str = "") -> Representation:
+    def rotated_rep(self) -> Representation:
         """The source representation conjugated into this basis."""
-        return conjugate_representation(self.source_rep, self.q, space_label or "isotypic")
+        return conjugate_representation(self.source_rep, self.q, "isotypic")
 
     def conjugation_residual(self) -> float:
         """``max_g ||q rho(g) q^T - E(g)||_F``, ``E(g)`` the stored irrep copies of each block."""
@@ -110,12 +109,6 @@ class IsotypicBasis:
 
     def orthogonality_residual(self) -> float:
         return float(np.linalg.norm(self.q @ self.q.T - np.eye(self.dim)))
-
-    def multiplicity_of(self, label: str) -> int:
-        for blk in self.blocks:
-            if blk.label == label:
-                return blk.multiplicity
-        return 0
 
 
 def character_projector(rep: Representation, irrep: Irrep) -> np.ndarray:
@@ -298,8 +291,9 @@ def is_g_stable(subspace_basis: np.ndarray, rep: Representation, tol: float = 1e
 # ---------------------------------------------------------------------------
 
 
-def basis_to_json(basis: IsotypicBasis) -> dict:
-    return {
+def save_isotypic_basis(basis: IsotypicBasis, path):
+    """Write the basis as JSON: group, blocks, ``q`` row-major and the tolerance report."""
+    doc = {
         "group": basis.group.descriptor,
         "dim": basis.dim,
         "blocks": [
@@ -309,41 +303,4 @@ def basis_to_json(basis: IsotypicBasis) -> dict:
         "q": [float(v) for v in basis.q.reshape(-1)],
         "tolerance_report": dict(basis.tolerance_report),
     }
-
-
-def save_isotypic_basis(basis: IsotypicBasis, path):
-    Path(path).write_text(json.dumps(basis_to_json(basis), sort_keys=True))
-
-
-def load_isotypic_basis(path, source_rep: Representation) -> IsotypicBasis:
-    """Load a stored basis and re-verify its invariants against ``source_rep``.
-
-    Files whose measured orthogonality or conjugation residuals exceed
-    ten times the recorded tolerances (at least 1e-12) are rejected; the
-    loaded basis reports the measured residuals.
-    """
-    doc = json.loads(Path(path).read_text())
-    if doc["group"] != source_rep.group.descriptor:
-        raise ValueError(
-            f"stored basis is for group {doc['group']}, not {source_rep.group.descriptor}"
-        )
-    dim = int(doc["dim"])
-    if dim != source_rep.dim:
-        raise ValueError(f"stored basis dim {dim} does not match representation dim {source_rep.dim}")
-    by_label = {ir.label: ir for ir in irreps_real(source_rep.group)}
-    blocks = []
-    for entry in doc["blocks"]:
-        irrep = by_label.get(entry["irrep"])
-        if irrep is None or irrep.dim != entry["d"]:
-            raise ValueError(f"unknown irrep block {entry['irrep']!r}")
-        blocks.append(IsotypicBlock(irrep, int(entry["m"]), int(entry["offset"])))
-    q = np.array(doc["q"], dtype=np.float64).reshape(dim, dim)
-    basis = IsotypicBasis(q, tuple(blocks), source_rep)
-    recorded = doc["tolerance_report"]
-    for key, value in basis.tolerance_report.items():
-        allowed = 10.0 * max(float(recorded.get(key, 0.0)), 1e-12)
-        if value > allowed:
-            raise ValueError(
-                f"stored basis fails verification: {key} residual {value:.3e} > {allowed:.3e}"
-            )
-    return basis
+    Path(path).write_text(json.dumps(doc, sort_keys=True))

@@ -640,7 +640,8 @@ def n_trainable_params(model: KoopmanModel) -> int:
 
 
 def save_model(model: KoopmanModel, path):
-    """JSON checkpoint: architecture header plus base64 float64 parameters."""
+    """JSON checkpoint: architecture header plus the base64 float64 parameters
+    of :func:`_model_params`, the list :func:`load_model` fills."""
     cfg = asdict(model.config) if model.config is not None else {}
     header = {
         "variant": model.variant,
@@ -652,20 +653,15 @@ def save_model(model: KoopmanModel, path):
     }
     if model.k_map is not None:
         header["basis_fingerprint"] = model.k_map.basis.layout_fingerprint()
-        k_payload = {"kind": "theta", "data": encode_f64(model.k_map.theta)}
-    else:
-        k_payload = {"kind": "dense", "data": encode_f64(model.k_matrix)}
+    *nets, k = _model_params(model)
     doc = {
         "format": "dha-model-v1",
         "header": header,
-        "k_payload": k_payload,
+        "k_payload": {"kind": "dense" if model.k_map is None else "theta", "data": encode_f64(k)},
         "training_report": model.training_report,
     }
-    if model.encoder is not None:
-        flat = np.concatenate(
-            [p.reshape(-1) for p in model.encoder.parameters() + model.decoder.parameters()]
-        )
-        doc["net_params"] = encode_f64(flat)
+    if nets:
+        doc["net_params"] = encode_f64(np.concatenate(nets, axis=None))
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 

@@ -141,9 +141,6 @@ class Network:
             layer.set_parameters(params[2 * i:2 * i + 2])
         self._version += 1
 
-    def n_params(self) -> int:
-        return int(sum(p.size for p in self.parameters()))
-
     def forward(self, x: np.ndarray):
         """Evaluate on ``(batch, in_dim)`` input; returns ``(y, cache)``.
 
@@ -294,15 +291,17 @@ def adam_init(params):
     return {"step": 0, "m": np.zeros(n), "v": np.zeros(n)}
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr):
     """One bias-corrected adaptive-moment update; returns new params/state.
 
+    The moment decays are 0.9 and 0.999, with 1e-8 added to the denominator.
     All parameters are updated at once, elementwise, into one new flat vector
     (never in place: forward caches still hold the old weights)."""
     g = np.concatenate(grads, axis=None)
     if not np.all(np.isfinite(g)):
         raise TrainingDivergenceError("non-finite gradient in optimizer step")
     step = state["step"] + 1
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     c1 = 1.0 - beta1 ** step
     c2 = 1.0 - beta2 ** step
     m = beta1 * state["m"] + (1.0 - beta1) * g
@@ -315,10 +314,10 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 def net_equivariance_residual(net: Network, rep_in: Representation, rep_out: Representation,
-                              n_samples: int = 8, seed: int = 0) -> float:
-    """Largest relative violation of ``f(rho_in(g) x) = rho_out(g) f(x)``."""
+                              seed: int = 0) -> float:
+    """Largest relative violation of ``f(rho_in(g) x) = rho_out(g) f(x)`` over 8 random inputs."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_samples, rep_in.dim))
+    x = rng.standard_normal((8, rep_in.dim))
     y, _ = net.forward(x)
     worst = 0.0
     for g in rep_in.group.elements():

@@ -119,7 +119,6 @@ def random_symmetric_stable_system(
     n_constraints: int = 0,
     seed: int = 0,
     offset_range: tuple = (-2.0, -1.0),
-    max_resample: int = 16,
 ) -> SymmetricLinearSystem:
     """Draw a random equivariant matrix, rescale it to the target radius.
 
@@ -127,7 +126,7 @@ def random_symmetric_stable_system(
     commutant by group averaging; constraint rows are random unit
     directions closed under the group action with a shared offset drawn
     from ``offset_range`` (negative values keep a neighbourhood of the
-    origin feasible).
+    origin feasible).  A nilpotent projection is redrawn, up to 16 draws.
     """
     if rep_x.group != group:
         raise ValueError("rep_x is not a representation of the given group")
@@ -135,18 +134,14 @@ def random_symmetric_stable_system(
         raise ValueError(f"spectral radius target must lie in (0, 1), got {spectral_radius}")
     m = rep_x.dim
     rng = np.random.default_rng(seed)
-    a = None
-    for _ in range(max_resample):
-        raw = rng.standard_normal((m, m))
-        proj = equivariant_project(raw, rep_x)
+    for _ in range(16):
+        proj = equivariant_project(rng.standard_normal((m, m)), rep_x)
         radius = float(np.max(np.abs(np.linalg.eigvals(proj))))
         if radius >= 1e-12:
-            a = proj * (spectral_radius / radius)
             break
-    if a is None:
-        raise RuntimeError(
-            f"equivariant projection produced a nilpotent matrix {max_resample} times in a row"
-        )
+    else:
+        raise RuntimeError("equivariant projection produced a nilpotent matrix 16 times in a row")
+    a = proj * (spectral_radius / radius)
     rows, offsets = [], []
     for _ in range(n_constraints):
         base = rng.standard_normal(m)
@@ -404,6 +399,7 @@ def generate_dataset(
     their canonical orbit representative, confining them to one quotient
     copy; test initial states are left untouched so they cover all copies.
     The last ~10% of training trajectories are re-tagged as validation.
+    :func:`_init_bounds` reads ``init_box``.
 
     All trajectories advance together, one step at a time.  Trajectory
     ``i`` keeps its own Philox noise key and draws step ``t`` at counter
@@ -413,10 +409,7 @@ def generate_dataset(
     if n_train < 1 or n_test < 0:
         raise ValueError("need at least one training trajectory")
     m = system.dim
-    if np.isscalar(init_box):
-        low, high = -float(init_box) * np.ones(m), float(init_box) * np.ones(m)
-    else:
-        low, high = (np.asarray(v, dtype=np.float64) for v in init_box)
+    low, high = _init_bounds(init_box, m)
     rng_train = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     rng_test = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     x0 = [orbit_representative(_draw_feasible(rng_train, system, low, high), system.rep_x)[1]
@@ -438,6 +431,21 @@ def generate_dataset(
         "horizon": horizon,
     }
     return TrajectoryDataset(trajs, tuple(splits), system.rep_x, 1.0, provenance)
+
+
+def _init_bounds(init_box, m: int) -> tuple:
+    """``(m,)`` bounds from a number ``b`` (``[-b, b]``) or a ``(low, high)`` pair of numbers or
+    ``(m,)`` vectors; another shape, or ``low > high``, raises ``ValueError`` naming ``init_box``."""
+    try:
+        if np.isscalar(init_box):
+            init_box = (-float(init_box), float(init_box))
+        low, high = (np.broadcast_to(np.asarray(v, dtype=np.float64), (m,)) for v in init_box)
+    except (TypeError, ValueError):
+        raise ValueError(f"init_box must be a number or a [low, high] pair of numbers or "
+                         f"length-{m} vectors, got {init_box!r}") from None
+    if not np.all(low <= high):
+        raise ValueError(f"init_box low bound exceeds its high bound: {init_box!r}")
+    return low, high
 
 
 def _traj_noise_key(seed: int, index: int) -> int:
@@ -467,10 +475,13 @@ def rep_descriptor(rep: Representation) -> dict:
 
 
 def rep_from_descriptor(desc: dict) -> Representation:
-    """Inverse of :func:`rep_descriptor`; a field of the wrong type raises ``ValueError`` naming it."""
+    """Inverse of :func:`rep_descriptor`; a malformed field raises ``ValueError`` naming it."""
     group = group_from_descriptor(typed(typed(desc, dict, "rep_x")["group"], str, "rep_x.group"))
-    if desc.get("kind", "regular_copies") == "regular_copies":
+    kind = desc.get("kind", "regular_copies")
+    if kind == "regular_copies":
         return regular_rep_copies(group, typed(desc["copies"], int, "rep_x.copies") * group.order, "X")
+    if kind != "explicit":
+        raise ValueError(f"rep_x.kind must be 'regular_copies' or 'explicit', got {kind!r:.40}")
     dim = typed(desc["dim"], int, "rep_x.dim")
     mats = decode_f64(typed(desc["matrices"], str, "rep_x.matrices"), (group.order, dim, dim))
     return Representation(group, mats, "X")

@@ -1,9 +1,10 @@
-"""Dense counting oracles for representation multiplicities and hom spaces.
+"""Dense oracles for groups, representations, multiplicities and hom spaces.
 
-The library counts both from characters.  These count them by linear
-algebra on the matrices themselves, independently of the irrep table's
-characters: the rank of a character projector and the null space of the
-vectorized commutation system.
+The library counts multiplicities and hom dimensions from characters.
+These count them by linear algebra on the matrices themselves,
+independently of the irrep table's characters: the rank of a character
+projector and the null space of the vectorized commutation system.  The
+group and representation axioms are checked exhaustively on the tables.
 """
 
 import numpy as np
@@ -25,3 +26,28 @@ def kron_hom_dimension(rep_a, rep_b) -> int:
     svals = np.linalg.svd(system, compute_uv=False)
     tol = 1e-8 * max(1.0, svals[0] if svals.size else 0.0)
     return int(np.sum(svals <= tol)) + max(0, da * db - svals.size)
+
+
+def check_associativity(group):
+    """Exhaustively verify associativity of the composition table (orders <= 64)."""
+    t = group.compose_table
+    left = t[t, :]            # left[a, b, c] = (a*b)*c
+    right = t[:, t]           # right[a, b, c] = a*(b*c)
+    if not np.array_equal(left, right):
+        raise AssertionError("composition table is not associative")
+
+
+def validate_representation(rep, tol: float = 1e-10):
+    """Check orthogonality, the homomorphism property and rho(e) = I."""
+    eye = np.eye(rep.dim)
+    if not np.array_equal(rep.matrices[0], eye):
+        raise AssertionError("identity element is not represented by I")
+    gram = np.einsum("gij,gkj->gik", rep.matrices, rep.matrices)
+    worst = np.max(np.linalg.norm(gram - eye, axis=(1, 2)))
+    if worst > tol:
+        raise AssertionError(f"orthogonality residual {worst:.3e} > {tol:.1e}")
+    prod = np.einsum("aij,bjk->abik", rep.matrices, rep.matrices)
+    expected = rep.matrices[rep.group.compose_table]
+    worst = np.max(np.linalg.norm(prod - expected, axis=(2, 3)))
+    if worst > tol:
+        raise AssertionError(f"homomorphism residual {worst:.3e} > {tol:.1e}")

@@ -7,7 +7,6 @@ from dha.analysis import (
     emit_plot_data,
     isotypic_energy,
     prediction_mse,
-    read_series_csv,
     spectrum,
 )
 from dha.commutant import EquivariantLinearMap, assemble, commutant_basis
@@ -77,7 +76,7 @@ def test_block_spectrum_completeness():
     emap = EquivariantLinearMap(cb, rng.standard_normal(len(cb)))
     report = spectrum(emap)
     full = np.linalg.eigvals(assemble(emap))
-    tagged = report.all_eigenvalues()
+    tagged = np.concatenate(report.eigenvalues)
     assert np.allclose(np.sort_complex(tagged), np.sort_complex(full), atol=1e-8)
 
 
@@ -168,6 +167,27 @@ def test_energy_weighting():
     energy = isotypic_energy(traj, basis, weights=w)
     assert np.allclose(energy.total, 8.0)
     assert np.max(np.abs(energy.block_energy.sum(axis=0) - energy.total)) <= 1e-12
+
+
+def test_orbit_constant_weights_scale_the_trajectory():
+    basis = isotypic_basis(regular_rep_copies(make_cyclic(3), 6))
+    traj = np.random.default_rng(2).standard_normal((7, 6))
+    w = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
+    weighted = isotypic_energy(traj, basis, weights=w)
+    scaled = isotypic_energy(traj * np.sqrt(w), basis)
+    assert np.array_equal(weighted.block_energy, scaled.block_energy)
+    assert np.array_equal(weighted.total, scaled.total)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [([-1.0] * 6, ">= 0"), ([1.0, 1.0, np.nan, 1.0, 1.0, 1.0], ">= 0"), ([1.0] * 5, ">= 0"),
+     ([1.0, 2.0, 3.0, 1.0, 1.0, 1.0], "orbits")],
+)
+def test_energy_rejects_bad_weights(weights, message):
+    basis = isotypic_basis(regular_rep_copies(make_cyclic(3), 6))
+    with pytest.raises(ValueError, match=message):
+        isotypic_energy(np.ones((4, 6)), basis, weights=weights)
 
 
 def test_energy_width_mismatch():
@@ -262,10 +282,13 @@ def test_csv_roundtrip_bit_exact(tmp_path):
         "two": (np.arange(5.0), np.array([1e-17, 3.14159, -2.5e8, 0.1, 7.0])),
     }
     csv_path, _ = emit_plot_data(series, tmp_path / "rt")
-    back = read_series_csv(csv_path)
+    header, *lines = csv_path.read_text().splitlines()
+    assert header == "series,x,y"
+    rows = [line.split(",") for line in lines]
     for name, (xs, ys) in series.items():
-        assert np.array_equal(back[name][0], np.asarray(xs, float))
-        assert np.array_equal(back[name][1], np.asarray(ys, float))
+        back = np.array([[float(x), float(y)] for n, x, y in rows if n == name])
+        assert np.array_equal(back[:, 0], np.asarray(xs, float))
+        assert np.array_equal(back[:, 1], np.asarray(ys, float))
 
 
 def test_deterministic_bytes(tmp_path):

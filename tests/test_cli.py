@@ -18,6 +18,7 @@ from dha.cli import (
     load_config,
     main,
 )
+from dha.systems import load_dataset
 
 
 def write_config(tmp_path, **overrides):
@@ -193,7 +194,8 @@ def test_fit_neural_variant_through_cli(tmp_path):
 
 
 #: Manifest fields given a value of the wrong type, by case name.
-MANIFEST_CASES = {"null_n_trajectories": ("n_trajectories", None), "number_splits": ("splits", 5)}
+MANIFEST_CASES = {"null_n_trajectories": ("n_trajectories", None), "number_splits": ("splits", 5),
+                  "regular_kind": ("rep_x", {"group": "C2", "kind": "regular", "copies": 2})}
 
 
 def _corrupt(data_dir, case):
@@ -249,7 +251,8 @@ def _corrupt(data_dir, case):
      ("blank_line", 2, "traj_00001.csv"), ("trailing_comma", 2, "traj_00001.csv"),
      ("blank_line_and_extra_row", 2, "traj_00001.csv"),
      ("blank_line_for_a_row", 2, "traj_00001.csv"), ("crlf", 0, ""),
-     ("null_n_trajectories", 2, "n_trajectories"), ("number_splits", 2, "splits")],
+     ("null_n_trajectories", 2, "n_trajectories"), ("number_splits", 2, "splits"),
+     ("regular_kind", 2, "rep_x.kind")],
 )
 def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
     cfg = load_config(write_config(tmp_path, variants=["edmd"]))
@@ -293,6 +296,8 @@ def _corrupt_checkpoint(doc, case):
         doc["header"] = []
     elif case == "number_k_data":
         doc["k_payload"]["data"] = 5
+    elif case == "regular_kind":
+        header["rep_x"]["kind"] = "regular"
     elif case == "list_document":
         return [1, 2]
     return doc
@@ -305,7 +310,8 @@ def _corrupt_checkpoint(doc, case):
      ("nan_net_params", "non-finite"), ("inf_theta", "non-finite"),
      ("short_net_params", "payload does not match"), ("string_seed", "seed"),
      ("string_width", "width"), ("string_rep_x", "rep_x"), ("list_header", "header"),
-     ("number_k_data", "k_payload.data"), ("list_document", "checkpoint")],
+     ("number_k_data", "k_payload.data"), ("list_document", "checkpoint"),
+     ("regular_kind", "rep_x.kind")],
 )
 def test_corrupt_checkpoint_exit_codes(tmp_path, capsys, case, message):
     doc = _corrupt_checkpoint(json.loads(CHECKPOINT.read_text()), case)
@@ -349,7 +355,8 @@ def test_config_rejects_unknown_variant(tmp_path):
      ("zero_n_train", {}, ["dataset.n_train=0"], "'dataset.n_train'"),
      ("negative_n_test", {}, ["dataset.n_test=-1"], "'dataset.n_test'"),
      ("zero_horizon", {}, ["dataset.horizon=0"], "'dataset.horizon'"),
-     ("zero_eval_horizon", {}, ["eval_horizon=0"], "'eval_horizon'")],
+     ("zero_eval_horizon", {}, ["eval_horizon=0"], "'eval_horizon'"),
+     ("reversed_init_box", {}, ["dataset.init_box=[0.5,-1]"], "init_box")],
 )
 def test_bad_config_exit_codes(tmp_path, capsys, case, fields, flags, message):
     path = write_config(tmp_path, **fields)
@@ -363,6 +370,22 @@ def test_init_box_takes_number_or_pair(tmp_path):
     path = write_config(tmp_path)
     assert load_config(path, ["dataset.init_box=2"])["dataset"]["init_box"] == 2
     assert load_config(path, ["dataset.init_box=[-1,0.5]"])["dataset"]["init_box"] == [-1, 0.5]
+
+
+@pytest.mark.parametrize("n_constraints", [1, 0])
+def test_synth_draws_from_an_init_box_pair(tmp_path, n_constraints):
+    path = write_config(tmp_path, n_constraints=n_constraints)
+    out = tmp_path / "ds"
+    argv = ["synth", str(path), "--set", "dataset.init_box=[-1,0.5]", "--out", str(out)]
+    assert main(argv) == 0
+    x0 = load_dataset(out).trajectories[:, 0]
+    assert np.all(x0 >= -1.0) and np.all(x0 <= 0.5)
+
+
+def test_decompose_rejects_a_negative_limit(tmp_path, capsys):
+    data_dir = cmd_synth(load_config(write_config(tmp_path)))
+    assert main(["decompose", str(data_dir), "--limit", "-1"]) == 2
+    assert "limit" in capsys.readouterr().err
 
 
 def test_closed_form_variants_ignore_latent_dim(tmp_path):
@@ -406,7 +429,8 @@ def test_eval_rejects_horizon_below_one(tmp_path, capsys, horizon):
     [("samples", "20", ["eval_horizon=0"], "horizon"),
      ("samples", "20.5", [], "max_windows"),
      ("latent_dim", "4,7", [], "latent_dim"),
-     ("state_dim", "4,5", [], "state_dim")],
+     ("state_dim", "4,5", [], "state_dim"),
+     ("sigma", "0.01", ["dataset.init_box=[0.5,-1]"], "init_box")],
 )
 def test_sweep_points_are_checked_configs(tmp_path, capsys, axis, values, flags, message):
     path = write_config(tmp_path, variants=["eedmd", "edae"],

@@ -10,8 +10,6 @@ from dha.commutant import (
     equivariant_project,
     hom_basis,
     hom_space_dimension,
-    load_equivariant_map,
-    save_equivariant_map,
 )
 from dha.groups import (
     group_from_descriptor,
@@ -257,24 +255,6 @@ def test_hom_group_mismatch():
     b = regular_representation(make_cyclic(3))
     with pytest.raises(ValueError, match="different groups"):
         hom_space_dimension(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def test_map_roundtrip_and_fingerprint_check(tmp_path):
-    rng = np.random.default_rng(9)
-    _, cb = iso_and_commutant(regular_representation(make_cyclic(4)))
-    emap = EquivariantLinearMap(cb, rng.standard_normal(len(cb)))
-    path = tmp_path / "map.json"
-    save_equivariant_map(emap, path)
-    loaded = load_equivariant_map(path, cb)
-    assert np.array_equal(loaded.theta, emap.theta)
-    _, other = iso_and_commutant(regular_representation(make_cyclic(5)))
-    with pytest.raises(ValueError, match="layout"):
-        load_equivariant_map(path, other)
 
 
 def test_hom_basis_empty_between_inequivalent_irreps():

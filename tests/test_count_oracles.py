@@ -43,10 +43,10 @@ def test_character_counts_match_dense_oracles(desc):
     table = irreps_real(group_from_descriptor(desc))
     reps = mixed_reps(table, np.random.default_rng(ABELIAN_GROUPS_LE_16.index(desc)))
     for rep in reps:
-        basis = isotypic_basis(rep)
+        found = {blk.label: blk.multiplicity for blk in isotypic_basis(rep).blocks}
         for ir in table:
             rank = projector_rank(character_projector(rep, ir))
-            assert basis.multiplicity_of(ir.label) * ir.dim == rank
+            assert found.get(ir.label, 0) * ir.dim == rank
     for a in reps:
         for b in reps:
             assert hom_space_dimension(a, b) == kron_hom_dimension(a, b)

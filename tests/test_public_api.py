@@ -16,17 +16,15 @@ PUBLIC_API = [
     "character_projector", "commutant", "commutant_basis", "conjugate_representation",
     "coordinates", "dae_loss", "default_hidden_width", "dense_net", "direct_product",
     "edmd_fit", "eedmd_fit", "emit_plot_data", "equivariance_residual", "equivariant_net",
-    "equivariant_project", "generate_dataset", "group_from_descriptor", "groups",
-    "hom_basis", "hom_space_dimension", "import_trajectories", "irreps_real", "is_g_stable",
-    "isotypic", "isotypic_basis", "isotypic_energy", "isotypic_project", "koopman",
-    "load_dataset", "load_equivariant_map", "load_isotypic_basis", "load_model",
-    "make_cyclic", "n_trainable_params", "net_equivariance_residual", "nets", "orbit",
-    "orbit_representative", "predict", "predict_batch", "prediction_mse",
-    "random_symmetric_stable_system", "read_series_csv", "regular_rep_copies",
-    "regular_representation", "rep_descriptor", "rep_direct_sum", "rep_from_descriptor",
-    "rollout", "save_dataset", "save_equivariant_map", "save_isotypic_basis",
-    "save_metrics_csv", "save_model", "snapshot_pairs", "spectrum", "symmetric_square_rep",
-    "system_noise", "systems", "train",
+    "equivariant_project", "generate_dataset", "group_from_descriptor", "groups", "hom_basis",
+    "hom_space_dimension", "import_trajectories", "irreps_real", "is_g_stable", "isotypic",
+    "isotypic_basis", "isotypic_energy", "isotypic_project", "koopman", "load_dataset",
+    "load_model", "make_cyclic", "n_trainable_params", "net_equivariance_residual", "nets",
+    "orbit", "orbit_representative", "predict", "predict_batch", "prediction_mse",
+    "random_symmetric_stable_system", "regular_rep_copies", "regular_representation",
+    "rep_descriptor", "rep_direct_sum", "rep_from_descriptor", "rollout", "save_dataset",
+    "save_isotypic_basis", "save_metrics_csv", "save_model", "snapshot_pairs", "spectrum",
+    "symmetric_square_rep", "system_noise", "systems", "train",
 ]
 
 

@@ -217,6 +217,20 @@ def test_training_inits_are_canonical():
     assert ds.splits.count("val") == max(1, round(0.1 * 12))
 
 
+def test_init_box_bounds_broadcast_and_are_checked():
+    g = make_cyclic(3)
+    sys0 = random_symmetric_stable_system(g, regular_rep_copies(g, 6), 0.9, sigma=0.02, seed=0)
+    scalar = generate_dataset(sys0, 4, 3, 5, init_box=0.5, seed=1)
+    for box in ((-0.5, 0.5), (np.full(6, -0.5), 0.5), (np.full(6, -0.5), np.full(6, 0.5))):
+        same = generate_dataset(sys0, 4, 3, 5, init_box=box, seed=1)
+        assert np.array_equal(same.trajectories, scalar.trajectories)
+    pair = generate_dataset(sys0, 4, 3, 5, init_box=(-1.0, 0.5), seed=1).trajectories[:, 0]
+    assert np.all(pair >= -1.0) and np.all(pair <= 0.5)
+    for box in ((-1.0, 0.5, 2.0), (np.zeros(5), 1.0), (1.0, -1.0), -1.0, (np.zeros(6), np.full(6, -1.0))):
+        with pytest.raises(ValueError, match="init_box"):
+            generate_dataset(sys0, 4, 3, 5, init_box=box, seed=1)
+
+
 def test_trivial_group_train_and_test_share_distribution():
     g = make_cyclic(1)
     rep = regular_rep_copies(g, 3)
