@@ -24,7 +24,6 @@ from .analysis import emit_plot_data, isotypic_energy, prediction_mse, spectrum
 from .groups import group_from_descriptor, regular_rep_copies
 from .isotypic import DecompositionError, isotypic_basis, save_isotypic_basis
 from .koopman import (
-    NumericOverflowError,
     TrainConfig,
     _check_variant,
     _parse_train_config,
@@ -518,7 +517,6 @@ def main(argv=None) -> int:
     except (
         np.linalg.LinAlgError,
         TrainingDivergenceError,
-        NumericOverflowError,
         DecompositionError,
         InfeasibilityError,
         FloatingPointError,

@@ -71,13 +71,6 @@ class FiniteGroup:
         object.__setattr__(self, "compose_table", frozen_array(self.compose_table, np.intp))
         object.__setattr__(self, "inverse_table", frozen_array(self.inverse_table, np.intp))
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def compose(self, a: int, b: int) -> int:
-        return int(self.compose_table[a, b])
-
     def inverse(self, a: int) -> int:
         return int(self.inverse_table[a])
 
@@ -104,7 +97,7 @@ class FiniteGroup:
 
 
 def make_cyclic(n: int) -> FiniteGroup:
-    """Cyclic group ``C_n`` with ``compose(i, j) = (i + j) mod n``."""
+    """Cyclic group ``C_n`` whose ``compose_table[i, j]`` is ``(i + j) mod n``."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     ids = np.arange(n)
@@ -189,9 +182,6 @@ class Representation:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
-    def __call__(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
     def character(self) -> np.ndarray:
         """Trace of each element's matrix, in element-id order."""
         return np.trace(self.matrices, axis1=1, axis2=2)
@@ -234,9 +224,6 @@ class Irrep:
 
     def as_representation(self, space_label: str = "") -> Representation:
         return Representation(self.group, self.matrices, space_label or self.label)
-
-    def __call__(self, g: int) -> np.ndarray:
-        return self.matrices[g]
 
 
 @dataclass(frozen=True)

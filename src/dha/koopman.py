@@ -39,15 +39,12 @@ from .nets import (
 from .systems import TrajectoryDataset, rep_descriptor, rep_from_descriptor
 
 __all__ = [
-    "NumericOverflowError",
     "TrainConfig",
     "KoopmanModel",
     "snapshot_pairs",
     "edmd_fit",
     "eedmd_fit",
-    "dae_loss",
     "train",
-    "predict",
     "predict_batch",
     "n_trainable_params",
     "save_model",
@@ -56,14 +53,6 @@ __all__ = [
 ]
 
 VARIANTS = ("edmd", "eedmd", "dae", "dae_aug", "edae")
-
-
-class NumericOverflowError(RuntimeError):
-    """Non-finite intermediate during loss evaluation; ``.horizon_step`` names h."""
-
-    def __init__(self, message, horizon_step=None):
-        super().__init__(message)
-        self.horizon_step = horizon_step
 
 
 # ---------------------------------------------------------------------------
@@ -321,58 +310,27 @@ def _feature_rep(rep_x: Representation, observable: str) -> Representation:
 # ---------------------------------------------------------------------------
 
 
-def dae_loss(model: KoopmanModel, window: np.ndarray, gamma: float | None = None):
-    """Reconstruction plus latent prediction error over one window.
-
-    ``window`` holds states ``x_t .. x_{t+H}``.  The loss is
-    ``sum_{h=0..H} ||x_{t+h} - dec(K^h z_t)||^2 + gamma ||enc(x_{t+h}) - K^h z_t||^2``
-    with ``z_t = enc(x_t)``; the ``h = 0`` latent term vanishes identically.
-    Returns ``(loss, breakdown)`` with per-term and per-step values.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != model.state_dim:
-        raise ValueError(f"window must be (H+1, {model.state_dim})")
-    if gamma is None:
-        gamma = float(np.sqrt(model.state_dim / model.latent_dim))
-    H = window.shape[0] - 1
-    z = model.encode(window)
-    zhat = np.zeros_like(z)
-    zhat[0] = z[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for h in range(1, H + 1):
-            zhat[h] = model.k_matrix @ zhat[h - 1]
-            if not np.all(np.isfinite(zhat[h])):
-                raise NumericOverflowError(f"latent rollout diverged at step h={h}", horizon_step=h)
-        xhat = model.decode(zhat)
-        recon_steps = np.sum((xhat - window) ** 2, axis=1)
-        latent_steps = np.sum((zhat - z) ** 2, axis=1)
-        latent_steps[0] = 0.0
-    if not (np.all(np.isfinite(recon_steps)) and np.all(np.isfinite(latent_steps))):
-        bad = int(np.argmax(~np.isfinite(recon_steps + latent_steps)))
-        raise NumericOverflowError(f"non-finite loss term at step h={bad}", horizon_step=bad)
-    loss = float(np.sum(recon_steps) + gamma * np.sum(latent_steps))
-    breakdown = {
-        "reconstruction": float(np.sum(recon_steps)),
-        "latent": float(np.sum(latent_steps)),
-        "gamma": float(gamma),
-        "reconstruction_per_step": recon_steps.tolist(),
-        "latent_per_step": latent_steps.tolist(),
-    }
-    return loss, breakdown
+def _rollout(z0: np.ndarray, k_mat: np.ndarray, steps: int) -> np.ndarray:
+    """Latents ``K^h z0`` for ``h = 0 .. steps`` in one ``(B, steps + 1, L)`` buffer."""
+    zhat = np.empty((z0.shape[0], steps + 1, z0.shape[1]))
+    zhat[:, 0] = z0
+    for h in range(1, steps + 1):
+        np.matmul(zhat[:, h - 1], k_mat.T, out=zhat[:, h])
+    return zhat
 
 
 def _batch_loss_and_grads(encoder, decoder, k_mat, windows, gamma, need_grads=True):
-    """Mean loss over a window batch plus gradients for enc/dec/K."""
+    """Mean loss over a window batch plus gradients for enc/dec/K: the one definition of the loss.
+
+    Window ``x_t .. x_{t+H}`` adds ``||x_{t+h} - dec(K^h z_t)||^2 + gamma ||enc(x_{t+h}) - K^h z_t||^2``
+    over ``h = 0 .. H``, ``z_t = enc(x_t)``; a non-finite loss raises ``TrainingDivergenceError``."""
     B, hp1, m = windows.shape
     H = hp1 - 1
     flat = windows.reshape(B * hp1, m)
     z_flat, enc_cache = encoder.forward(flat)
     L = z_flat.shape[1]
     z = z_flat.reshape(B, hp1, L)
-    zhat = np.empty_like(z)
-    zhat[:, 0] = z[:, 0]
-    for h in range(1, hp1):
-        np.matmul(zhat[:, h - 1], k_mat.T, out=zhat[:, h])
+    zhat = _rollout(z[:, 0], k_mat, H)
     xhat_flat, dec_cache = decoder.forward(zhat.reshape(B * hp1, L))
     xhat = xhat_flat.reshape(B, hp1, m)
     r = xhat - windows
@@ -612,16 +570,10 @@ def predict_batch(model: KoopmanModel, x0: np.ndarray, horizon: int) -> np.ndarr
     if x0.shape[1] != model.state_dim:
         raise ValueError(f"initial states must have width {model.state_dim}")
     out = np.zeros((x0.shape[0], horizon, model.state_dim))
-    z = model.encode(x0)
+    zhat = _rollout(model.encode(x0), model.k_matrix, horizon)
     for h in range(horizon):
-        z = z @ model.k_matrix.T
-        out[:, h] = model.decode(z)
+        out[:, h] = model.decode(zhat[:, h + 1])
     return out
-
-
-def predict(model: KoopmanModel, x0: np.ndarray, horizon: int) -> np.ndarray:
-    """Predicted observable-space trajectory ``x_1 .. x_horizon`` (no x0)."""
-    return predict_batch(model, np.asarray(x0)[None, :], horizon)[0]
 
 
 def n_trainable_params(model: KoopmanModel) -> int:

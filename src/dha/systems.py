@@ -319,8 +319,8 @@ def orbit_representative(x: np.ndarray, rep_x: Representation):
 class TrajectoryDataset:
     """Fixed-length trajectories with split tags and provenance.
 
-    ``trajectories`` has shape ``(n, horizon + 1, dim)``; ``splits`` holds
-    one of ``train``/``val``/``test`` per trajectory.
+    ``trajectories`` has shape ``(n, horizon + 1, dim)``; ``splits`` must hold
+    one of ``train``/``val``/``test`` per trajectory (else ``ValueError``).
     """
 
     trajectories: np.ndarray
@@ -348,6 +348,11 @@ class TrajectoryDataset:
         return ds
 
     def _check(self):
+        for i, tag in enumerate(self.splits):
+            if tag not in ("train", "val", "test"):
+                raise ValueError(f"trajectory {i} has unknown split tag {tag!r}; expected train, val or test")
+        if len(self.splits) != self.n_trajectories:
+            raise ValueError(f"{len(self.splits)} split tags for {self.n_trajectories} trajectories")
         if not np.all(np.isfinite(self.trajectories)):
             raise ValueError("trajectories contain non-finite samples")
 
@@ -551,8 +556,6 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
     lines, so its shape must match as well.
     """
     n, dim, horizon = (manifest[k] for k in ("n_trajectories", "dim", "horizon"))
-    if len(splits) != n:
-        raise ValueError(f"{len(splits)} split tags for {n} trajectories")
     trajs = np.empty((n, horizon + 1, dim))
     for i in range(n):
         name = f"traj_{i:05d}.csv"

@@ -33,3 +33,21 @@ def test_reference_checkpoint_reproduces_predictions(name):
     assert model.variant == VARIANT[name]
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _stepwise_predictions(model, x0, horizon):
+    """Prediction as one matrix product and one decode per step, each on a fresh latent."""
+    out = np.zeros((x0.shape[0], horizon, model.state_dim))
+    z = model.encode(x0)
+    for h in range(horizon):
+        z = z @ model.k_matrix.T
+        out[:, h] = model.decode(z)
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, 2, 64])
+@pytest.mark.parametrize("name", list(VARIANT))
+def test_predict_batch_is_bitwise_the_stepwise_rollout(name, batch):
+    model = load_model(DATA / f"checkpoint_{name}_c3.json")
+    x0 = np.random.default_rng(batch).uniform(-1.0, 1.0, (batch, model.state_dim))
+    assert np.array_equal(predict_batch(model, x0, 7), _stepwise_predictions(model, x0, 7))

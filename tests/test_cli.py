@@ -167,6 +167,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "distinct" in out.err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_divergence_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, group="C3", state_dim=6, variants=["dae"],
+                        training={"latent_dim": 6, "horizon": 3, "epochs": 2, "lr": 1e150,
+                                  "hidden_layers": 1, "width": 6})
+    data_dir = cmd_synth(load_config(path))
+    assert main(["fit", str(path), str(data_dir)]) == 3
+    assert "numeric failure: non-finite training loss" in capsys.readouterr().err
+
+
 def test_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("DHA_OUTPUT_ROOT", str(tmp_path / "root"))
     path = write_config(tmp_path, output_dir=None, variants=["edmd"])
@@ -193,9 +203,10 @@ def test_fit_neural_variant_through_cli(tmp_path):
     assert any(spec_dir.glob("spectrum_edae_seed0.json"))
 
 
-#: Manifest fields given a value of the wrong type, by case name.
+#: Manifest fields given a value of the wrong type or content, by case name.
 MANIFEST_CASES = {"null_n_trajectories": ("n_trajectories", None), "number_splits": ("splits", 5),
-                  "regular_kind": ("rep_x", {"group": "C2", "kind": "regular", "copies": 2})}
+                  "regular_kind": ("rep_x", {"group": "C2", "kind": "regular", "copies": 2}),
+                  "unknown_split_tag": ("splits", ["train", "bogus", 7, None])}
 
 
 def _corrupt(data_dir, case):
@@ -246,13 +257,13 @@ def _corrupt(data_dir, case):
     [("truncated", 2, "traj_00001.csv"), ("extra_row", 2, "traj_00001.csv"),
      ("short_row", 2, "traj_00001.csv"), ("non_numeric", 2, "traj_00001.csv"),
      ("nan", 2, "non-finite"), ("missing_file", 4, "traj_00001.csv"),
-     pytest.param("empty", 2, "traj_00001.csv", marks=pytest.mark.filterwarnings("error")),
-     pytest.param("header_only", 2, "traj_00001.csv", marks=pytest.mark.filterwarnings("error")),
+     ("empty", 2, "traj_00001.csv"), ("header_only", 2, "traj_00001.csv"),
      ("blank_line", 2, "traj_00001.csv"), ("trailing_comma", 2, "traj_00001.csv"),
      ("blank_line_and_extra_row", 2, "traj_00001.csv"),
      ("blank_line_for_a_row", 2, "traj_00001.csv"), ("crlf", 0, ""),
      ("null_n_trajectories", 2, "n_trajectories"), ("number_splits", 2, "splits"),
-     ("regular_kind", 2, "rep_x.kind")],
+     ("regular_kind", 2, "rep_x.kind"),
+     ("unknown_split_tag", 2, "trajectory 1 has unknown split tag 'bogus'")],
 )
 def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
     cfg = load_config(write_config(tmp_path, variants=["edmd"]))

@@ -6,21 +6,19 @@ from dha.groups import group_from_descriptor, make_cyclic, regular_rep_copies
 from dha.isotypic import isotypic_basis
 from dha.koopman import (
     KoopmanModel,
-    NumericOverflowError,
     TrainConfig,
-    dae_loss,
+    _batch_loss_and_grads,
     edmd_fit,
     eedmd_fit,
     load_model,
     n_trainable_params,
-    predict,
     predict_batch,
     save_metrics_csv,
     save_model,
     snapshot_pairs,
     train,
 )
-from dha.nets import Layer, Network
+from dha.nets import Layer, Network, TrainingDivergenceError
 from dha.systems import generate_dataset, random_symmetric_stable_system, rollout
 
 
@@ -42,6 +40,26 @@ def identity_model(k):
     dec = Network([Layer("dense", "identity", weight=np.eye(m), bias=np.zeros(m))])
     rep = regular_rep_copies(make_cyclic(1), m, "X")
     return KoopmanModel("dae", rep, m, k, encoder=enc, decoder=dec)
+
+
+def dae_loss(model, window, gamma=None):
+    """Per-window reference for the loss the train step minimizes: ``(loss, recon, latent)``.
+
+    ``window`` holds states ``x_t .. x_{t+H}``; the loss is
+    ``sum_h ||x_{t+h} - dec(K^h z_t)||^2 + gamma ||enc(x_{t+h}) - K^h z_t||^2``
+    with ``z_t = enc(x_t)``, rolled out one matrix-vector product at a time.
+    ``gamma`` defaults to the train step's ``sqrt(state_dim / latent_dim)``.
+    """
+    if gamma is None:
+        gamma = np.sqrt(model.state_dim / model.latent_dim)
+    z = model.encode(window)
+    zhat = [z[0]]
+    for _ in range(len(window) - 1):
+        zhat.append(model.k_matrix @ zhat[-1])
+    zhat = np.array(zhat)
+    recon = float(np.sum((model.decode(zhat) - window) ** 2))
+    latent = float(np.sum((zhat[1:] - z[1:]) ** 2))
+    return recon + gamma * latent, recon, latent
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +164,7 @@ def test_perfect_linear_autoencoder_has_zero_loss():
     model = identity_model(system.a.copy())
     model.rep_x = system.rep_x
     window = ds.trajectories[0, :11]
-    loss, _ = dae_loss(model, window, gamma=1.0)
+    loss, _, _ = dae_loss(model, window, gamma=1.0)
     assert loss <= 1e-12
 
 
@@ -154,35 +172,36 @@ def test_gamma_zero_drops_latent_term():
     k = np.array([[0.4]])
     model = identity_model(k)
     window = np.array([[1.0], [0.5]])
-    loss, br = dae_loss(model, window, gamma=0.0)
-    assert loss == pytest.approx(br["reconstruction"])
-    assert br["latent"] > 0.0  # still reported, just unweighted
+    loss, recon, latent = dae_loss(model, window, gamma=0.0)
+    assert loss == pytest.approx(recon)
+    assert latent > 0.0  # still reported, just unweighted
 
 
 def test_hand_computed_two_step_loss():
     # Scalar system x' = 0.5 x, identity nets, K = 0.4, x_t = 1, gamma = 1:
     # loss = (1-1)^2 + (0.5-0.4)^2 + (0.5-0.4)^2 = 0.02.
     model = identity_model(np.array([[0.4]]))
-    loss, br = dae_loss(model, np.array([[1.0], [0.5]]), gamma=1.0)
+    loss, recon, latent = dae_loss(model, np.array([[1.0], [0.5]]), gamma=1.0)
     assert loss == pytest.approx(0.02)
-    assert br["reconstruction"] == pytest.approx(0.01)
-    assert br["latent"] == pytest.approx(0.01)
+    assert recon == pytest.approx(0.01)
+    assert latent == pytest.approx(0.01)
 
 
-def test_overflow_identifies_horizon_step():
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_rollout_raises_training_divergence():
+    # K = 1e200 overflows the latent rollout at h = 2, so the loss is not finite.
     model = identity_model(np.array([[1e200]]))
-    window = np.array([[1.0], [1.0], [1.0], [1.0]])
-    with pytest.raises(NumericOverflowError) as err:
-        dae_loss(model, window, gamma=1.0)
-    assert err.value.horizon_step == 2
+    windows = np.ones((1, 4, 1))
+    with pytest.raises(TrainingDivergenceError, match="non-finite training loss"):
+        _batch_loss_and_grads(model.encoder, model.decoder, model.k_matrix, windows, 1.0)
 
 
 @pytest.mark.parametrize("desc", ["C3", "C2xC2"])
 @pytest.mark.parametrize("variant", ["dae", "dae_aug", "edae"])
 def test_dae_loss_is_the_loss_training_minimizes(desc, variant):
-    # dae_loss (one window, default gamma) and the training step's batch loss
-    # are two implementations of one loss: they agree per window and on the mean.
-    from dha.koopman import _apply_params, _batch_loss_and_grads, _model_params, _new_model
+    # The reference dae_loss (one window, default gamma) and the training step's
+    # batch loss agree per window and on the mean.
+    from dha.koopman import _apply_params, _model_params, _new_model
 
     group = group_from_descriptor(desc)
     rep = regular_rep_copies(group, 2 * group.order, "X")
@@ -216,7 +235,7 @@ def test_zero_epochs_returns_initialized_model():
     assert model.training_report["best_epoch"] == -1
     # The initial operator is the identity in commutant coordinates.
     assert np.max(np.abs(model.k_matrix - np.eye(12))) <= 1e-9
-    loss, _ = dae_loss(model, ds.trajectories[0, :6])
+    loss, _, _ = dae_loss(model, ds.trajectories[0, :6])
     assert np.isfinite(loss)
 
 
@@ -324,8 +343,6 @@ def test_train_config_keeps_values_as_given():
 
 
 def test_full_loss_gradient_matches_finite_differences():
-    from dha.koopman import _batch_loss_and_grads
-
     _, ds = make_dataset(desc="C2", m=4, sigma=0.05, horizon=12)
     cfg = TrainConfig(latent_dim=4, horizon=3, epochs=0, seed=4, hidden_layers=1, width=4)
     model = train("edae", ds, cfg)
@@ -371,7 +388,7 @@ def test_full_loss_gradient_matches_finite_differences():
 def test_zero_horizon_prediction_is_empty():
     system, ds = make_dataset()
     model = train("edmd", ds, TrainConfig())
-    assert predict(model, ds.trajectories[0, 0], 0).shape == (0, 6)
+    assert predict_batch(model, ds.trajectories[:1, 0], 0).shape == (1, 0, 6)
 
 
 def test_exact_model_matches_noiseless_rollout():
@@ -379,7 +396,7 @@ def test_exact_model_matches_noiseless_rollout():
     model = train("edmd", ds, TrainConfig(ridge=0.0))
     x0 = ds.trajectories[0, 0]
     truth = rollout(system, x0, 15)
-    pred = predict(model, x0, 15)
+    pred = predict_batch(model, x0[None], 15)[0]
     assert np.max(np.abs(pred - truth[1:])) <= 1e-8
 
 
@@ -433,8 +450,8 @@ def test_checkpoint_roundtrip(variant, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
-    x0 = ds.trajectories[0, 0]
-    assert np.array_equal(predict(loaded, x0, 5), predict(model, x0, 5))
+    x0 = ds.trajectories[:1, 0]
+    assert np.array_equal(predict_batch(loaded, x0, 5), predict_batch(model, x0, 5))
     assert loaded.spectral_radius == pytest.approx(model.spectral_radius)
 
 
@@ -447,8 +464,8 @@ def test_poly2_observables_roundtrip(tmp_path):
         path = tmp_path / f"{variant}.json"
         save_model(model, path)
         loaded = load_model(path)
-        x0 = ds.trajectories[0, 0]
-        assert np.allclose(predict(loaded, x0, 4), predict(model, x0, 4), atol=1e-12)
+        x0 = ds.trajectories[:1, 0]
+        assert np.allclose(predict_batch(loaded, x0, 4), predict_batch(model, x0, 4), atol=1e-12)
 
 
 def test_metrics_csv(tmp_path):
@@ -464,6 +481,6 @@ def test_metrics_csv(tmp_path):
 def test_dae_loss_applies_to_closed_form_variants():
     system, ds = make_dataset(sigma=0.0)
     model = train("edmd", ds, TrainConfig(ridge=0.0))
-    loss, br = dae_loss(model, ds.trajectories[0, :5], gamma=1.0)
+    loss, recon, latent = dae_loss(model, ds.trajectories[0, :5], gamma=1.0)
     assert loss <= 1e-12  # exact operator, identity observables
-    assert br["gamma"] == 1.0
+    assert recon <= 1e-12 and latent <= 1e-12

@@ -14,6 +14,7 @@ from dha.isotypic import isotypic_basis
 from dha.systems import (
     InfeasibilityError,
     SymmetricLinearSystem,
+    TrajectoryDataset,
     generate_dataset,
     import_trajectories,
     load_dataset,
@@ -339,6 +340,17 @@ def test_importer_accepts_external_layout(tmp_path):
     assert np.array_equal(imported.trajectories, ds.trajectories)
     relabeled = import_trajectories(tmp_path / "ext", rep, splits=["test"] * 5)
     assert set(relabeled.splits) == {"test"}
+
+
+@pytest.mark.parametrize(
+    "splits, message",
+    [(("train", "val", "valid"), "trajectory 2 has unknown split tag 'valid'"),
+     (("train", "test"), "2 split tags for 3 trajectories")],
+)
+def test_dataset_checks_split_tags(splits, message):
+    rep = regular_rep_copies(make_cyclic(2), 2)
+    with pytest.raises(ValueError, match=message):
+        TrajectoryDataset(np.zeros((3, 4, 2)), splits, rep, 1.0, {})
 
 
 def test_explicit_rep_descriptor_roundtrip():
