@@ -75,7 +75,7 @@ def _eigenvector_orbit_residual(k, rep, vals, vecs):
     return worst
 
 
-def spectrum(operator, rep=None) -> SpectrumReport:
+def spectrum(operator) -> SpectrumReport:
     """Eigendecomposition tagged by isotypic block.
 
     For an :class:`EquivariantLinearMap` the blocks are exactly
@@ -107,10 +107,7 @@ def spectrum(operator, rep=None) -> SpectrumReport:
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("operator must be square")
     w, v = np.linalg.eig(k)
-    resid = None
-    if rep is not None:
-        resid = _eigenvector_orbit_residual(k, rep, w, v)
-    return SpectrumReport(["dense"], [w], [v], float(np.max(np.abs(w))) if w.size else 0.0, resid)
+    return SpectrumReport(["dense"], [w], [v], float(np.max(np.abs(w))) if w.size else 0.0, None)
 
 
 @dataclass

@@ -505,25 +505,24 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
             if variant == "dae_aug":
                 rho = rep_x.matrices[g_ids[batch_idx]]
                 batch = np.einsum("bij,bhj->bhi", rho, batch)
-            try:
+            # Overflow surfaces as TrainingDivergenceError from the finiteness checks, not as a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
                 loss, recon, latent, (grads_enc, grads_dec, dk) = _batch_loss_and_grads(
                     model.encoder, model.decoder, model.k_matrix, batch, gamma
                 )
                 if model.k_map is not None:
                     dk = coordinates(dk, model.k_map.basis)
                 params, state = adam_step(params, grads_enc + grads_dec + [dk], state, lr=config.lr)
-            except TrainingDivergenceError as err:
-                err.checkpoint = best["params"]
-                raise
             _apply_params(model, params)
             epoch_loss += loss
             epoch_recon += recon
             epoch_latent += latent
             n_batches += 1
         if val_windows.shape[0]:
-            val_loss, _, _, _ = _batch_loss_and_grads(
-                model.encoder, model.decoder, model.k_matrix, val_windows, gamma, need_grads=False
-            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                val_loss, _, _, _ = _batch_loss_and_grads(
+                    model.encoder, model.decoder, model.k_matrix, val_windows, gamma, need_grads=False
+                )
         else:
             val_loss = epoch_loss / n_batches
         metrics.append(

@@ -1,12 +1,14 @@
 """Minimal feed-forward networks with exact reverse-mode gradients.
 
-Two layer kinds: plain dense layers, and equivariant layers whose weight
-is stored as block coefficients ``theta`` over a generator table and
-whose bias is constrained to the trivial isotypic component.  Hidden
-equivariant layers act on stacks of regular-representation copies in the
-group-element basis, where the pointwise ``tanh`` commutes with the
-permutation action; an optional fixed orthogonal transform on the input
-or output side moves between that basis and the isotypic one.
+Every layer is one record holding its trained ``weight`` and ``bias``.  A
+dense layer uses them as its matrix and vector; an equivariant layer holds
+block coefficients over a generator table and coordinates in the trivial
+isotypic component, so its matrix and vector are equivariant for any
+values.  Hidden equivariant layers act on stacks of regular-representation
+copies in the group-element basis, where the pointwise ``tanh`` commutes
+with the permutation action; an optional fixed orthogonal transform on the
+input or output side moves between that basis and the isotypic one.
+Networks take and return ``(batch, dim)`` arrays.
 """
 
 from __future__ import annotations
@@ -38,64 +40,46 @@ class InvalidStateError(RuntimeError):
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Non-finite gradients or loss; carries the last finite checkpoint if any."""
-
-    def __init__(self, message, checkpoint=None):
-        super().__init__(message)
-        self.checkpoint = checkpoint
+    """Non-finite gradients or loss."""
 
 
 @dataclass
 class Layer:
-    """One affine-plus-activation layer.
+    """One affine-plus-activation layer with trained arrays ``weight`` and ``bias``.
 
-    ``kind == "dense"`` uses ``weight``/``bias`` directly as parameters.
-    ``kind == "equivariant"`` stores coordinates ``theta`` over the
-    equivariant-map generator ``table``, so the weight is
-    ``q_out.T @ table.assemble(theta) @ q_in`` (isotypic changes of basis
-    ``q_in``/``q_out``), and the bias is ``bias_basis @ beta``; equivariance
+    A dense layer (``table is None``) uses them as its matrix and vector.
+    An equivariant layer holds coordinates: ``weight`` over the
+    equivariant-map generator ``table``, so the matrix is
+    ``q_out.T @ table.assemble(weight) @ q_in`` (isotypic changes of basis
+    ``q_in``/``q_out``), and ``bias`` over ``bias_basis``; equivariance
     holds structurally for any parameter values.
     """
 
-    kind: str
     activation: str
-    weight: np.ndarray | None = None
-    bias: np.ndarray | None = None
-    theta: np.ndarray | None = None
+    weight: np.ndarray
+    bias: np.ndarray
     table: _GeneratorTable | None = field(default=None, repr=False)
     q_in: np.ndarray | None = field(default=None, repr=False)
     q_out: np.ndarray | None = field(default=None, repr=False)
-    beta: np.ndarray | None = None
     bias_basis: np.ndarray | None = field(default=None, repr=False)
 
     def weight_matrix(self) -> np.ndarray:
-        if self.kind == "dense":
+        if self.table is None:
             return self.weight
-        return self.q_out.T @ self.table.assemble(self.theta) @ self.q_in
+        return self.q_out.T @ self.table.assemble(self.weight) @ self.q_in
 
     def bias_vector(self) -> np.ndarray:
-        if self.kind == "dense":
+        if self.table is None:
             return self.bias
-        return self.bias_basis @ self.beta
+        return self.bias_basis @ self.bias
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1] if self.kind == "dense" else self.q_in.shape[1]
+        return self.weight.shape[1] if self.table is None else self.q_in.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0] if self.kind == "dense" else self.q_out.shape[1]
-
-    def parameters(self):
-        if self.kind == "dense":
-            return [self.weight, self.bias]
-        return [self.theta, self.beta]
-
-    def set_parameters(self, params):
-        if self.kind == "dense":
-            self.weight, self.bias = params
-        else:
-            self.theta, self.beta = params
+        return self.weight.shape[0] if self.table is None else self.q_out.shape[1]
 
 
 class Network:
@@ -111,11 +95,9 @@ class Network:
         self.input_transform = input_transform
         self.output_transform = output_transform
         self._version = 0
-        dims = [self.layers[0].in_dim]
-        for layer in self.layers:
-            if layer.in_dim != dims[-1]:
-                raise ValueError(f"layer dims do not chain: {dims[-1]} -> {layer.in_dim}")
-            dims.append(layer.out_dim)
+        for prev, layer in zip(self.layers, self.layers[1:]):
+            if layer.in_dim != prev.out_dim:
+                raise ValueError(f"layer dims do not chain: {prev.out_dim} -> {layer.in_dim}")
 
     @property
     def in_dim(self) -> int:
@@ -128,17 +110,15 @@ class Network:
         return d if self.output_transform is None else self.output_transform.shape[0]
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
+        """``[weight, bias]`` of every layer, in layer order."""
+        return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
     def set_parameters(self, params):
         params = list(params)
         if len(params) != 2 * len(self.layers):
             raise ValueError("parameter list does not match network structure")
         for i, layer in enumerate(self.layers):
-            layer.set_parameters(params[2 * i:2 * i + 2])
+            layer.weight, layer.bias = params[2 * i:2 * i + 2]
         self._version += 1
 
     def forward(self, x: np.ndarray):
@@ -147,11 +127,8 @@ class Network:
         Each layer adds its bias and applies ``tanh`` in place on ``h @ w.T``.
         """
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"input width {x.shape[1]} does not match {self.in_dim}")
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise ValueError(f"input of shape {x.shape} is not (batch, {self.in_dim})")
         h = x if self.input_transform is None else x @ self.input_transform.T
         weights = [layer.weight_matrix() for layer in self.layers]
         inputs, outputs = [], []
@@ -165,24 +142,23 @@ class Network:
                 raise ValueError(f"unknown activation {layer.activation!r}")
             outputs.append(h)
         y = h if self.output_transform is None else h @ self.output_transform.T
-        cache = {"version": self._version, "weights": weights, "inputs": inputs,
-                 "outputs": outputs, "squeeze": squeeze}
-        return (y[0] if squeeze else y), cache
+        cache = {"version": self._version, "weights": weights, "inputs": inputs, "outputs": outputs}
+        return y, cache
 
     def backward(self, cache, output_cotangent: np.ndarray):
         """Exact gradients for all parameters and the input.
 
-        ``output_cotangent`` has the shape of the forward output; gradients
-        come back as a list aligned with :meth:`parameters` (equivariant
-        layers in theta/beta coordinates), plus the input cotangent.  A
-        ``tanh`` layer forms ``(1 - out * out) * g`` in one reused buffer.
+        ``output_cotangent`` has the ``(batch, out_dim)`` shape of the forward
+        output; gradients come back as a list aligned with :meth:`parameters`,
+        plus the input cotangent.  A ``tanh`` layer forms ``(1 - out * out) * g``
+        in one reused buffer.
         """
         if cache["version"] != self._version:
             raise InvalidStateError("network parameters changed since the cached forward pass")
         # Identity layers reduce g itself; sums round differently off C order.
         g = np.ascontiguousarray(output_cotangent, dtype=np.float64)
-        if cache["squeeze"]:
-            g = g[None, :]
+        if g.shape != (cache["inputs"][0].shape[0], self.out_dim):
+            raise ValueError(f"cotangent of shape {g.shape} does not match the forward output")
         if self.output_transform is not None:
             g = g @ self.output_transform
         grads = [None] * (2 * len(self.layers))
@@ -200,14 +176,14 @@ class Network:
             # Both add rows in order, einsum faster; sum adds a lone column pairwise.
             gb = np.einsum("ij->j", gz) if gz.shape[1] > 1 else gz.sum(axis=0)
             gw = gz.T @ cache["inputs"][i]
-            if layer.kind == "equivariant":
+            if layer.table is not None:
                 gw = layer.table.coordinates(layer.q_out @ gw @ layer.q_in.T)
                 gb = layer.bias_basis.T @ gb
             grads[2 * i], grads[2 * i + 1] = gw, gb
             g = gz @ cache["weights"][i]
         if self.input_transform is not None:
             g = g @ self.input_transform
-        return grads, (g[0] if cache["squeeze"] else g)
+        return grads, g
 
 
 def _glorot(rng, out_dim, in_dim):
@@ -220,9 +196,7 @@ def dense_net(dims, rng, hidden_activation="tanh", output_activation="identity")
     layers = []
     for i in range(len(dims) - 1):
         act = hidden_activation if i < len(dims) - 2 else output_activation
-        layers.append(
-            Layer("dense", act, weight=_glorot(rng, dims[i + 1], dims[i]), bias=np.zeros(dims[i + 1]))
-        )
+        layers.append(Layer(act, _glorot(rng, dims[i + 1], dims[i]), np.zeros(dims[i + 1])))
     return Network(layers)
 
 
@@ -243,12 +217,9 @@ def _equivariant_layer(basis_in, basis_out, activation, rng) -> Layer:
     table = _generator_table(basis_out.blocks, basis_in.blocks)
     seed = _glorot(rng, basis_out.dim, basis_in.dim)
     trivial = _trivial_basis(basis_out)
-    return Layer(
-        "equivariant", activation,
-        theta=table.coordinates(basis_out.q @ seed @ basis_in.q.T),
-        table=table, q_in=basis_in.q, q_out=basis_out.q,
-        beta=np.zeros(trivial.shape[1]), bias_basis=trivial,
-    )
+    return Layer(activation, table.coordinates(basis_out.q @ seed @ basis_in.q.T),
+                 np.zeros(trivial.shape[1]), table=table, q_in=basis_in.q, q_out=basis_out.q,
+                 bias_basis=trivial)
 
 
 def equivariant_net(
@@ -263,9 +234,9 @@ def equivariant_net(
 ) -> Network:
     """Equivariant network ``rep_in -> regular-copy hiddens -> rep_out``.
 
-    Hidden widths must be multiples of the group order.  ``theta`` is
-    initialized with the coordinates of a Glorot-uniform dense weight over
-    the equivariant-map generators, matching the variance of the dense
+    Hidden widths must be multiples of the group order.  Each layer's
+    ``weight`` starts as the coordinates of a Glorot-uniform dense weight
+    over the equivariant-map generators, matching the variance of the dense
     baseline.
     """
     group = rep_in.group
@@ -301,11 +272,11 @@ def adam_step(params, grads, state, lr):
     if not np.all(np.isfinite(g)):
         raise TrainingDivergenceError("non-finite gradient in optimizer step")
     step = state["step"] + 1
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    c1 = 1.0 - beta1 ** step
-    c2 = 1.0 - beta2 ** step
-    m = beta1 * state["m"] + (1.0 - beta1) * g
-    v = beta2 * state["v"] + (1.0 - beta2) * g * g
+    decay1, decay2, eps = 0.9, 0.999, 1e-8
+    c1 = 1.0 - decay1 ** step
+    c2 = 1.0 - decay2 ** step
+    m = decay1 * state["m"] + (1.0 - decay1) * g
+    v = decay2 * state["v"] + (1.0 - decay2) * g * g
     flat = np.concatenate(params, axis=None)
     flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     ends = np.cumsum([p.size for p in params])

@@ -98,6 +98,7 @@ def test_dense_spectrum_fallback():
     k = np.array([[0.5, 1.0], [0.0, 0.25]])
     report = spectrum(k)
     assert report.block_labels == ["dense"]
+    assert report.orbit_residual is None
     assert sorted(np.real(report.eigenvalues[0])) == pytest.approx([0.25, 0.5])
     with pytest.raises(ValueError):
         spectrum(np.zeros((2, 3)))

@@ -167,7 +167,6 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "distinct" in out.err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_divergence_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, group="C3", state_dim=6, variants=["dae"],
                         training={"latent_dim": 6, "horizon": 3, "epochs": 2, "lr": 1e150,

@@ -129,9 +129,9 @@ def test_equivariant_layer_matches_oracle(case):
     rng = np.random.default_rng(5)
     bound = np.sqrt(6.0 / (rep_in.dim + rep_out.dim))
     seed = rng.uniform(-bound, bound, size=(rep_out.dim, rep_in.dim))
-    assert rel_err(layer.theta, np.tensordot(hb, seed, axes=([1, 2], [0, 1]))) <= TOL
-    theta = np.random.default_rng(6).standard_normal(layer.theta.shape)
-    net.set_parameters([theta, layer.beta])
+    assert rel_err(layer.weight, np.tensordot(hb, seed, axes=([1, 2], [0, 1]))) <= TOL
+    theta = np.random.default_rng(6).standard_normal(layer.weight.shape)
+    net.set_parameters([theta, layer.bias])
     assert rel_err(layer.weight_matrix(), np.tensordot(theta, hb, axes=1)) <= TOL
     x = np.random.default_rng(7).standard_normal((5, rep_in.dim))
     cot = np.random.default_rng(8).standard_normal((5, rep_out.dim))

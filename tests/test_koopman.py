@@ -36,8 +36,8 @@ def make_dataset(desc="C3", m=6, sigma=0.0, n_constraints=0, n_train=8, n_test=8
 def identity_model(k):
     """Linear autoencoder with identity encoder/decoder around operator k."""
     m = k.shape[0]
-    enc = Network([Layer("dense", "identity", weight=np.eye(m), bias=np.zeros(m))])
-    dec = Network([Layer("dense", "identity", weight=np.eye(m), bias=np.zeros(m))])
+    enc = Network([Layer("identity", weight=np.eye(m), bias=np.zeros(m))])
+    dec = Network([Layer("identity", weight=np.eye(m), bias=np.zeros(m))])
     rep = regular_rep_copies(make_cyclic(1), m, "X")
     return KoopmanModel("dae", rep, m, k, encoder=enc, decoder=dec)
 

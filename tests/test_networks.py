@@ -45,22 +45,55 @@ def rel_err(a, b):
 
 
 def test_identity_layer_passthrough():
-    net = Network([Layer("dense", "identity", weight=np.eye(3), bias=np.zeros(3))])
-    x = np.array([1.0, -2.0, 0.5])
+    net = Network([Layer("identity", weight=np.eye(3), bias=np.zeros(3))])
+    x = np.array([[1.0, -2.0, 0.5]])
     y, _ = net.forward(x)
     assert np.array_equal(y, x)
 
 
 def test_zero_weights_tanh_gives_zero():
-    net = Network([Layer("dense", "tanh", weight=np.zeros((4, 3)), bias=np.zeros(4))])
-    y, _ = net.forward(np.array([3.0, 1.0, -7.0]))
-    assert np.array_equal(y, np.zeros(4))
+    net = Network([Layer("tanh", weight=np.zeros((4, 3)), bias=np.zeros(4))])
+    y, _ = net.forward(np.array([[3.0, 1.0, -7.0]]))
+    assert np.array_equal(y, np.zeros((1, 4)))
 
 
 def test_dim_mismatch_rejected():
     net = dense_net([3, 4], np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        net.forward(np.zeros(5))
+    with pytest.raises(ValueError, match=r"\(1, 5\)"):
+        net.forward(np.zeros((1, 5)))
+
+
+def test_layers_that_do_not_chain_rejected():
+    first = Layer("tanh", weight=np.zeros((3, 2)), bias=np.zeros(3))
+    second = Layer("identity", weight=np.zeros((1, 2)), bias=np.zeros(1))
+    with pytest.raises(ValueError, match="3 -> 2"):
+        Network([first, second])
+
+
+def test_cotangent_shape_mismatch_rejected():
+    net = dense_net([3, 4], np.random.default_rng(0))
+    _, cache = net.forward(np.zeros((2, 3)))
+    for cot in (np.zeros(4), np.zeros((1, 4)), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="cotangent"):
+            net.backward(cache, cot)
+
+
+@pytest.mark.parametrize("builder", ["dense", "equivariant"])
+def test_parameters_are_the_layer_arrays(builder):
+    rng = np.random.default_rng(2)
+    if builder == "dense":
+        net = dense_net([4, 5, 3], rng)
+    else:
+        rep = regular_rep_copies(make_cyclic(3), 6)
+        net = equivariant_net(rep, [6], rep, rng)
+    params = net.parameters()
+    assert len(params) == 2 * len(net.layers)
+    for i, layer in enumerate(net.layers):
+        assert params[2 * i] is layer.weight and params[2 * i + 1] is layer.bias
+    fresh = [p.copy() for p in params]
+    net.set_parameters(fresh)
+    for i, layer in enumerate(net.layers):
+        assert layer.weight is fresh[2 * i] and layer.bias is fresh[2 * i + 1]
 
 
 def test_equivariant_net_forward_equivariance():
@@ -79,7 +112,7 @@ def test_equivariant_bias_is_group_fixed():
     rep = regular_rep_copies(g, 6)
     net = equivariant_net(rep, [6], rep, rng)
     for layer in net.layers:
-        layer.beta = rng.standard_normal(layer.beta.shape)
+        layer.bias = rng.standard_normal(layer.bias.shape)
         b = layer.bias_vector()
         out_dim = b.shape[0]
         out_rep = regular_rep_copies(g, out_dim)
@@ -95,22 +128,22 @@ def test_equivariant_bias_is_group_fixed():
 def test_linear_layer_gradient_closed_form():
     # y = W x + b, loss = ||y - t||^2; hand-computed 2x2 case.
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    net = Network([Layer("dense", "identity", weight=w.copy(), bias=np.zeros(2))])
-    x = np.array([1.0, 2.0])
-    t = np.array([0.0, 1.0])
+    net = Network([Layer("identity", weight=w.copy(), bias=np.zeros(2))])
+    x = np.array([[1.0, 2.0]])
+    t = np.array([[0.0, 1.0]])
     y, cache = net.forward(x)
-    assert np.array_equal(y, [5.0, 11.0])
+    assert np.array_equal(y, [[5.0, 11.0]])
     grads, gx = net.backward(cache, 2.0 * (y - t))
     assert np.array_equal(grads[0], [[10.0, 20.0], [20.0, 40.0]])
     assert np.array_equal(grads[1], [10.0, 20.0])
-    assert np.array_equal(gx, [70.0, 100.0])
+    assert np.array_equal(gx, [[70.0, 100.0]])
 
 
 def test_saturated_tanh_gradient_vanishes():
-    net = Network([Layer("dense", "tanh", weight=np.eye(1), bias=np.zeros(1))])
-    y, cache = net.forward(np.array([20.0]))
-    grads, gx = net.backward(cache, np.ones(1))
-    assert abs(gx[0]) <= 1e-8
+    net = Network([Layer("tanh", weight=np.eye(1), bias=np.zeros(1))])
+    y, cache = net.forward(np.array([[20.0]]))
+    grads, gx = net.backward(cache, np.ones((1, 1)))
+    assert abs(gx[0, 0]) <= 1e-8
     assert abs(grads[0][0, 0]) <= 1e-8 * 20
 
 
@@ -148,10 +181,10 @@ def test_gradients_match_finite_differences(builder):
 def test_stale_cache_rejected():
     rng = np.random.default_rng(3)
     net = dense_net([2, 2], rng)
-    _, cache = net.forward(np.zeros(2))
+    _, cache = net.forward(np.zeros((1, 2)))
     net.set_parameters([p.copy() for p in net.parameters()])
     with pytest.raises(InvalidStateError):
-        net.backward(cache, np.zeros(2))
+        net.backward(cache, np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,6 @@ def _act_grad_from_output(name, out):
 
 def oracle_forward(net, x):
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     h = x if net.input_transform is None else x @ net.input_transform.T
     weights = [layer.weight_matrix() for layer in net.layers]
     inputs, outputs = [], []
@@ -59,14 +56,12 @@ def oracle_forward(net, x):
         h = _act(layer.activation, z)
         outputs.append(h)
     y = h if net.output_transform is None else h @ net.output_transform.T
-    cache = {"weights": weights, "inputs": inputs, "outputs": outputs, "squeeze": squeeze}
-    return (y[0] if squeeze else y), cache
+    cache = {"weights": weights, "inputs": inputs, "outputs": outputs}
+    return y, cache
 
 
 def oracle_backward(net, cache, output_cotangent):
     g = np.asarray(output_cotangent, dtype=np.float64)
-    if cache["squeeze"]:
-        g = g[None, :]
     if net.output_transform is not None:
         g = g @ net.output_transform
     grads = [None] * (2 * len(net.layers))
@@ -74,14 +69,14 @@ def oracle_backward(net, cache, output_cotangent):
         layer = net.layers[i]
         gz = g * _act_grad_from_output(layer.activation, cache["outputs"][i])
         gw, gb = gz.T @ cache["inputs"][i], gz.sum(axis=0)
-        if layer.kind == "equivariant":
+        if layer.table is not None:
             gw = layer.table.coordinates(layer.q_out @ gw @ layer.q_in.T)
             gb = layer.bias_basis.T @ gb
         grads[2 * i], grads[2 * i + 1] = gw, gb
         g = gz @ cache["weights"][i]
     if net.input_transform is not None:
         g = g @ net.input_transform
-    return grads, (g[0] if cache["squeeze"] else g)
+    return grads, g
 
 
 def oracle_adam_init(params):
@@ -130,7 +125,7 @@ def _equivariant(descriptor, transforms):
             kwargs["output_transform"] = isotypic_basis(rep_out).q
         net = equivariant_net(rep_in, [2 * n, 3 * n], rep_out, rng, **kwargs)
         for layer in net.layers:
-            layer.beta = rng.standard_normal(layer.beta.shape)
+            layer.bias = rng.standard_normal(layer.bias.shape)
         return net
     return build
 
@@ -159,8 +154,11 @@ def _assert_same(a, b):
 def test_forward_backward_match_oracle(case, batch):
     rng = np.random.default_rng(sum(map(ord, case)) + (batch or 0))
     net = CASES[case](rng)
-    shape = (net.in_dim,) if batch is None else (batch, net.in_dim)
-    x = 2.0 * rng.standard_normal(shape)
+    if batch is None:  # an input without a batch axis is rejected, not squeezed
+        with pytest.raises(ValueError, match=rf"\({net.in_dim},\)"):
+            net.forward(rng.standard_normal(net.in_dim))
+        return
+    x = 2.0 * rng.standard_normal((batch, net.in_dim))
     y, cache = net.forward(x)
     y_ref, cache_ref = oracle_forward(net, x)
     assert np.array_equal(y, y_ref)
@@ -219,9 +217,9 @@ def test_adam_steps_match_oracle(case):
 
 
 def test_unknown_activation_rejected():
-    net = Network([Layer("dense", "relu", weight=np.eye(2), bias=np.zeros(2))])
+    net = Network([Layer("relu", weight=np.eye(2), bias=np.zeros(2))])
     with pytest.raises(ValueError, match="relu"):
-        net.forward(np.ones(2))
+        net.forward(np.ones((1, 2)))
 
 
 def _load_digest_script():
