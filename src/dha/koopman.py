@@ -30,6 +30,8 @@ from .isotypic import IsotypicBasis, isotypic_basis
 from .nets import (
     Network,
     TrainingDivergenceError,
+    _lent_workspace,
+    _Workspace,
     adam_init,
     adam_step,
     default_hidden_width,
@@ -310,9 +312,9 @@ def _feature_rep(rep_x: Representation, observable: str) -> Representation:
 # ---------------------------------------------------------------------------
 
 
-def _rollout(z0: np.ndarray, k_mat: np.ndarray, steps: int) -> np.ndarray:
-    """Latents ``K^h z0`` for ``h = 0 .. steps`` in one ``(B, steps + 1, L)`` buffer."""
-    zhat = np.empty((z0.shape[0], steps + 1, z0.shape[1]))
+def _rollout(z0: np.ndarray, k_mat: np.ndarray, steps: int, out=None) -> np.ndarray:
+    """Latents ``K^h z0`` for ``h = 0 .. steps`` in one ``(B, steps + 1, L)`` buffer (``out`` if given)."""
+    zhat = np.empty((z0.shape[0], steps + 1, z0.shape[1])) if out is None else out
     zhat[:, 0] = z0
     for h in range(1, steps + 1):
         np.matmul(zhat[:, h - 1], k_mat.T, out=zhat[:, h])
@@ -323,36 +325,49 @@ def _batch_loss_and_grads(encoder, decoder, k_mat, windows, gamma, need_grads=Tr
     """Mean loss over a window batch plus gradients for enc/dec/K: the one definition of the loss.
 
     Window ``x_t .. x_{t+H}`` adds ``||x_{t+h} - dec(K^h z_t)||^2 + gamma ||enc(x_{t+h}) - K^h z_t||^2``
-    over ``h = 0 .. H``, ``z_t = enc(x_t)``; a non-finite loss raises ``TrainingDivergenceError``."""
+    over ``h = 0 .. H``, ``z_t = enc(x_t)``; a non-finite loss raises ``TrainingDivergenceError``.
+    The rollout, residuals and cotangents go to the buffers of the encoder's
+    workspace, if it has one; with ``need_grads=False`` its forwards keep no
+    activations."""
     B, hp1, m = windows.shape
     H = hp1 - 1
-    flat = windows.reshape(B * hp1, m)
-    z_flat, enc_cache = encoder.forward(flat)
+    ws = encoder._workspace if encoder._workspace is not None else _Workspace()
+    ws.keep_cache = need_grads
+
+    def buffer(role, width):  # one (B, hp1, width) buffer that the validation pass uses too
+        return ws.take("loss", role, (B * hp1, width), shared=True).reshape(B, hp1, width)
+
+    z_flat, enc_cache = encoder.forward(windows.reshape(B * hp1, m))
     L = z_flat.shape[1]
     z = z_flat.reshape(B, hp1, L)
-    zhat = _rollout(z[:, 0], k_mat, H)
+    zhat = _rollout(z[:, 0], k_mat, H, out=buffer("zhat", L))
     xhat_flat, dec_cache = decoder.forward(zhat.reshape(B * hp1, L))
-    xhat = xhat_flat.reshape(B, hp1, m)
-    r = xhat - windows
-    s = zhat - z
+    r = np.subtract(xhat_flat.reshape(B, hp1, m), windows, out=buffer("r", m))
+    s = np.subtract(zhat, z, out=buffer("s", L))
     s[:, 0] = 0.0
-    recon = float(np.sum(r * r)) / B
-    latent = float(np.sum(s * s)) / B
+    recon = float(np.multiply(r, r, out=buffer("square", m)).sum()) / B
+    latent = float(np.multiply(s, s, out=buffer("square", L)).sum()) / B
     loss = recon + gamma * latent
     if not np.isfinite(loss):
         raise TrainingDivergenceError("non-finite training loss")
     if not need_grads:
         return loss, recon, latent, None
-    grads_dec, d_zhat_flat = decoder.backward(dec_cache, (2.0 / B) * r.reshape(B * hp1, m))
+    r *= 2.0 / B
+    grads_dec, d_zhat_flat = decoder.backward(dec_cache, r.reshape(B * hp1, m))
     d_zhat = d_zhat_flat.reshape(B, hp1, L)
-    d_zhat[:, 1:] += (2.0 * gamma / B) * s[:, 1:]
-    dk = np.zeros_like(k_mat)
-    a = d_zhat[:, H].copy()
+    d_zhat[:, 1:] += np.multiply(s[:, 1:], 2.0 * gamma / B, out=buffer("square", L)[:, 1:])
+    d_z = s
+    d_z *= -2.0 * gamma / B
+    # Pull the rollout back in place: d_zhat[:, h] becomes the full cotangent a_h of zhat[:, h].
+    a_k = ws.take("loss", "a_k", (B, L))
     for h in range(H, 0, -1):
-        dk += a.T @ zhat[:, h - 1]
-        a = a @ k_mat + d_zhat[:, h - 1]
-    d_z = (-2.0 * gamma / B) * s
-    d_z[:, 0] = a
+        d_zhat[:, h - 1] += np.matmul(d_zhat[:, h], k_mat, out=a_k)
+    # dK adds a_h^T zhat[:, h - 1] to zeros for h = H .. 1, in that order: one stacked matmul
+    # of a_H .. a_1 with zhat[:, H - 1] .. zhat[:, 0], then a sum over the stack.
+    terms = np.matmul(d_zhat[:, :0:-1].transpose(1, 2, 0), zhat[:, -2::-1].transpose(1, 0, 2),
+                      out=ws.take("loss", "dk_terms", (H, L, L)))
+    dk = np.add.reduce(terms, axis=0, initial=0.0)
+    d_z[:, 0] = d_zhat[:, 0]
     grads_enc, _ = encoder.backward(enc_cache, d_z.reshape(B * hp1, L))
     return loss, recon, latent, (grads_enc, grads_dec, dk)
 
@@ -362,16 +377,20 @@ def _batch_loss_and_grads(encoder, decoder, k_mat, windows, gamma, need_grads=Tr
 # ---------------------------------------------------------------------------
 
 
-def _windows(dataset: TrajectoryDataset, tag: str, h: int) -> np.ndarray:
+def _windows(dataset: TrajectoryDataset, tag: str, h: int) -> tuple:
+    """A split's states as ``(n (T + 1), dim)`` rows, and its stride-1 windows of length ``h + 1``.
+
+    Window ``w`` is ``states[rows[w]]``; windows run trajectory by
+    trajectory, each by start time.  Batches gather their windows from the
+    states, which hold every state once where the windows hold it up to
+    ``h + 1`` times.
+    """
     trajs = dataset.split(tag)
-    if trajs.shape[0] == 0:
-        return np.zeros((0, h + 1, dataset.dim))
-    T = trajs.shape[1] - 1
-    if h > T:
+    T = dataset.horizon
+    if trajs.shape[0] and h > T:
         raise ValueError(f"window horizon {h} exceeds trajectory length {T}")
-    starts = np.arange(T - h + 1)
-    idx = starts[:, None] + np.arange(h + 1)[None, :]
-    return trajs[:, idx].reshape(-1, h + 1, dataset.dim)
+    starts = np.arange(trajs.shape[0])[:, None] * (T + 1) + np.arange(max(T - h + 1, 0))
+    return trajs.reshape(-1, dataset.dim), starts.reshape(-1, 1) + np.arange(h + 1)
 
 
 def _new_model(variant, rep_x, config, rng) -> KoopmanModel:
@@ -479,11 +498,12 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
     gamma = config.gamma if config.gamma is not None else float(np.sqrt(rep_x.dim / model.latent_dim))
     model.refresh_k()
 
-    windows = _windows(dataset, "train", config.horizon)
+    states, windows = _windows(dataset, "train", config.horizon)
     if config.max_windows is not None and config.max_windows < windows.shape[0]:
         pick = rng.permutation(windows.shape[0])[: config.max_windows]
         windows = windows[np.sort(pick)]
-    val_windows = _windows(dataset, "val", config.horizon)
+    val_states, val_windows = _windows(dataset, "val", config.horizon)
+    val_windows = val_states[val_windows]
     if windows.shape[0] == 0:
         raise ValueError("dataset provides no training windows")
 
@@ -493,55 +513,59 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
     best = {"val": np.inf, "params": [p.copy() for p in params], "epoch": -1}
     stale = 0
     n_win = windows.shape[0]
-    for epoch in range(config.epochs):
-        order = rng.permutation(n_win)
-        if variant == "dae_aug":
-            g_ids = rng.integers(0, rep_x.group.order, size=n_win)
-        epoch_loss = epoch_recon = epoch_latent = 0.0
-        n_batches = 0
-        for start in range(0, n_win, config.batch):
-            batch_idx = order[start:start + config.batch]
-            batch = windows[batch_idx]
+    rows = (config.horizon + 1) * max(min(config.batch, n_win), val_windows.shape[0])
+    with _lent_workspace(_networks(model), rows) as workspace:
+        for epoch in range(config.epochs):
+            order = rng.permutation(n_win)
             if variant == "dae_aug":
-                rho = rep_x.matrices[g_ids[batch_idx]]
-                batch = np.einsum("bij,bhj->bhi", rho, batch)
-            # Overflow surfaces as TrainingDivergenceError from the finiteness checks, not as a warning.
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, recon, latent, (grads_enc, grads_dec, dk) = _batch_loss_and_grads(
-                    model.encoder, model.decoder, model.k_matrix, batch, gamma
-                )
-                if model.k_map is not None:
-                    dk = coordinates(dk, model.k_map.basis)
-                params, state = adam_step(params, grads_enc + grads_dec + [dk], state, lr=config.lr)
-            _apply_params(model, params)
-            epoch_loss += loss
-            epoch_recon += recon
-            epoch_latent += latent
-            n_batches += 1
-        if val_windows.shape[0]:
-            with np.errstate(over="ignore", invalid="ignore"):
-                val_loss, _, _, _ = _batch_loss_and_grads(
-                    model.encoder, model.decoder, model.k_matrix, val_windows, gamma, need_grads=False
-                )
-        else:
-            val_loss = epoch_loss / n_batches
-        metrics.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / n_batches,
-                "val_loss": val_loss,
-                "recon_term": epoch_recon / n_batches,
-                "latent_term": epoch_latent / n_batches,
-                "spectral_radius": model.spectral_radius,
-            }
-        )
-        if val_loss < best["val"] - 1e-12:
-            best = {"val": val_loss, "params": [p.copy() for p in params], "epoch": epoch}
-            stale = 0
-        else:
-            stale += 1
-            if stale > config.patience:
-                break
+                g_ids = rng.integers(0, rep_x.group.order, size=n_win)
+            epoch_loss = epoch_recon = epoch_latent = 0.0
+            n_batches = 0
+            for start in range(0, n_win, config.batch):
+                batch_idx = order[start:start + config.batch]
+                shape = (len(batch_idx), config.horizon + 1, rep_x.dim)
+                batch = np.take(states, windows[batch_idx], axis=0, out=workspace.take("train", "batch", shape))
+                if variant == "dae_aug":
+                    rho = rep_x.matrices[g_ids[batch_idx]]
+                    batch = np.einsum("bij,bhj->bhi", rho, batch,
+                                      out=workspace.take("train", "augmented", shape))
+                # Overflow surfaces as TrainingDivergenceError from the finiteness checks, not as a warning.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss, recon, latent, (grads_enc, grads_dec, dk) = _batch_loss_and_grads(
+                        model.encoder, model.decoder, model.k_matrix, batch, gamma
+                    )
+                    if model.k_map is not None:
+                        dk = coordinates(dk, model.k_map.basis)
+                    params, state = adam_step(params, grads_enc + grads_dec + [dk], state, lr=config.lr)
+                _apply_params(model, params)
+                epoch_loss += loss
+                epoch_recon += recon
+                epoch_latent += latent
+                n_batches += 1
+            if val_windows.shape[0]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    val_loss, _, _, _ = _batch_loss_and_grads(
+                        model.encoder, model.decoder, model.k_matrix, val_windows, gamma, need_grads=False
+                    )
+            else:
+                val_loss = epoch_loss / n_batches
+            metrics.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": epoch_loss / n_batches,
+                    "val_loss": val_loss,
+                    "recon_term": epoch_recon / n_batches,
+                    "latent_term": epoch_latent / n_batches,
+                    "spectral_radius": model.spectral_radius,
+                }
+            )
+            if val_loss < best["val"] - 1e-12:
+                best = {"val": val_loss, "params": [p.copy() for p in params], "epoch": epoch}
+                stale = 0
+            else:
+                stale += 1
+                if stale > config.patience:
+                    break
     _apply_params(model, best["params"])
     model.training_report = {
         "metrics": metrics,

@@ -8,11 +8,15 @@ values.  Hidden equivariant layers act on stacks of regular-representation
 copies in the group-element basis, where the pointwise ``tanh`` commutes
 with the permutation action; an optional fixed orthogonal transform on the
 input or output side moves between that basis and the isotypic one.
-Networks take and return ``(batch, dim)`` arrays.
+Networks take and return ``(batch, dim)`` arrays.  Outside training every
+pass allocates its own arrays; :func:`dha.koopman.train` lends its networks
+one :class:`_Workspace` whose buffers every step and validation pass reuse.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +40,7 @@ __all__ = [
 
 
 class InvalidStateError(RuntimeError):
-    """Backward pass invoked with a cache from stale parameters."""
+    """Backward pass invoked with a cache from stale parameters or overwritten activations."""
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -82,6 +86,64 @@ class Layer:
         return self.weight.shape[0] if self.table is None else self.q_out.shape[1]
 
 
+class _Workspace:
+    """Float64 buffers that the passes of one training run write in place.
+
+    :meth:`take` hands out a buffer named by an owner and a role: a
+    C-contiguous view of the front of one flat array that grows to the
+    largest request, so the full and the last partial batch share memory,
+    and so do the train steps and the validation pass.  A ``shared``
+    buffer, one that the validation pass uses too, is allocated for
+    ``rows`` rows (the most that any pass of the run has) at once, so
+    that it never grows and leaves the block it outgrew behind on the
+    heap.  Flat arrays start on a 64-byte boundary: ``malloc`` places large
+    blocks 16 bytes past a page boundary, where elementwise loops over
+    64-byte vectors run about half as fast.  ``generation[owner]`` counts
+    the forward passes that wrote the owner's buffers; a cache that
+    records an older count holds overwritten activations.  ``keep_cache``
+    is false for a validation pass, whose forwards keep no activations and
+    run each network through two alternating layer buffers.
+    """
+
+    def __init__(self, rows=0):
+        self.rows = rows
+        self.keep_cache = True
+        self.generation = {}
+        self._flat = {}
+        self._views = {}
+
+    def take(self, owner, role, shape, shared=False) -> np.ndarray:
+        """A ``shape`` buffer; a ``shared`` one has shape ``(rows, width)``."""
+        view = self._views.get((owner, role, shape))
+        if view is None:
+            n = math.prod(shape)
+            flat = self._flat.get((owner, role))
+            if flat is None or flat.size < n:
+                size = max(n, self.rows * shape[1]) if shared else n
+                raw = np.empty(size + 8)
+                start = -raw.ctypes.data % 64 // 8
+                flat = self._flat[owner, role] = raw[start:start + size]
+                # Views of the smaller array would keep it alive.
+                self._views = {key: v for key, v in self._views.items() if key[:2] != (owner, role)}
+            view = self._views[owner, role, shape] = flat[:n].reshape(shape)
+        return view
+
+
+@contextmanager
+def _lent_workspace(networks, rows=0):
+    """Lend ``networks`` one fresh :class:`_Workspace` for the ``with`` block, and take it back.
+
+    ``rows`` is the most rows that any pass in the block has."""
+    workspace = _Workspace(rows)
+    for net in networks:
+        net._workspace = workspace
+    try:
+        yield workspace
+    finally:
+        for net in networks:
+            net._workspace = None
+
+
 class Network:
     """A feed-forward chain of layers with optional fixed end transforms.
 
@@ -95,6 +157,7 @@ class Network:
         self.input_transform = input_transform
         self.output_transform = output_transform
         self._version = 0
+        self._workspace = None
         for prev, layer in zip(self.layers, self.layers[1:]):
             if layer.in_dim != prev.out_dim:
                 raise ValueError(f"layer dims do not chain: {prev.out_dim} -> {layer.in_dim}")
@@ -124,25 +187,43 @@ class Network:
     def forward(self, x: np.ndarray):
         """Evaluate on ``(batch, in_dim)`` input; returns ``(y, cache)``.
 
-        Each layer adds its bias and applies ``tanh`` in place on ``h @ w.T``.
+        Each layer writes ``h @ w.T`` into its own buffer, then adds its bias
+        and applies ``tanh`` there in place.  Buffers come from the lent
+        workspace during training and are fresh arrays otherwise.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"input of shape {x.shape} is not (batch, {self.in_dim})")
-        h = x if self.input_transform is None else x @ self.input_transform.T
+        ws = self._workspace if self._workspace is not None else _Workspace()
+        ws.generation[self] = generation = ws.generation.get(self, 0) + 1
+        keep = ws.keep_cache
+        n = len(self.layers)
+
+        def buffer(step, width):
+            # Step -1 is the input transform and step n the output transform.  A validation
+            # pass runs through the buffers of steps 0 and 1 alone.
+            key = step if keep else step % 2
+            return ws.take(self, key, (len(x), width), shared=key in (0, 1))
+
+        h = x
+        if self.input_transform is not None:
+            h = np.matmul(x, self.input_transform.T, out=buffer(-1, self.input_transform.shape[0]))
         weights = [layer.weight_matrix() for layer in self.layers]
         inputs, outputs = [], []
-        for layer, w in zip(self.layers, weights):
+        for i, (layer, w) in enumerate(zip(self.layers, weights)):
             inputs.append(h)
-            h = h @ w.T
+            h = np.matmul(h, w.T, out=buffer(i, w.shape[0]))
             h += layer.bias_vector()
             if layer.activation == "tanh":
                 np.tanh(h, out=h)
             elif layer.activation != "identity":
                 raise ValueError(f"unknown activation {layer.activation!r}")
             outputs.append(h)
-        y = h if self.output_transform is None else h @ self.output_transform.T
-        cache = {"version": self._version, "weights": weights, "inputs": inputs, "outputs": outputs}
+        y = h
+        if self.output_transform is not None:
+            y = np.matmul(h, self.output_transform.T, out=buffer(n, self.output_transform.shape[0]))
+        cache = {"version": self._version, "workspace": ws, "generation": generation if keep else None,
+                 "weights": weights, "inputs": inputs, "outputs": outputs}
         return y, cache
 
     def backward(self, cache, output_cotangent: np.ndarray):
@@ -151,24 +232,36 @@ class Network:
         ``output_cotangent`` has the ``(batch, out_dim)`` shape of the forward
         output; gradients come back as a list aligned with :meth:`parameters`,
         plus the input cotangent.  A ``tanh`` layer forms ``(1 - out * out) * g``
-        in one reused buffer.
+        in one reused buffer, and the layer cotangents alternate between two.
+        In a workspace all networks share these three buffers, so the input
+        cotangent returned is valid until the next backward pass.
         """
         if cache["version"] != self._version:
             raise InvalidStateError("network parameters changed since the cached forward pass")
+        if cache["generation"] is None:
+            raise InvalidStateError("the forward pass kept no activations")
+        if cache["workspace"].generation[self] != cache["generation"]:
+            raise InvalidStateError("a later forward pass overwrote the cached activations")
         # Identity layers reduce g itself; sums round differently off C order.
         g = np.ascontiguousarray(output_cotangent, dtype=np.float64)
-        if g.shape != (cache["inputs"][0].shape[0], self.out_dim):
+        rows = len(cache["inputs"][0])
+        if g.shape != (rows, self.out_dim):
             raise ValueError(f"cotangent of shape {g.shape} does not match the forward output")
+        ws = self._workspace if self._workspace is not None else _Workspace()
+
+        def cotangent(step, width):
+            # Step i's input cotangent; step n is the output transform and step -1 the input one.
+            return ws.take("backward", step % 2, (rows, width))
+
+        n = len(self.layers)
         if self.output_transform is not None:
-            g = g @ self.output_transform
-        grads = [None] * (2 * len(self.layers))
-        buf = None
-        for i in range(len(self.layers) - 1, -1, -1):
+            g = np.matmul(g, self.output_transform, out=cotangent(n, self.output_transform.shape[1]))
+        grads = [None] * (2 * n)
+        for i in range(n - 1, -1, -1):
             layer = self.layers[i]
             if layer.activation == "tanh":
                 out = cache["outputs"][i]
-                reuse = buf is not None and buf.shape == out.shape
-                gz = buf = np.multiply(out, out, out=buf if reuse else None)
+                gz = np.multiply(out, out, out=ws.take("backward", "gz", out.shape))
                 np.subtract(1.0, gz, out=gz)
                 gz *= g
             else:
@@ -180,9 +273,10 @@ class Network:
                 gw = layer.table.coordinates(layer.q_out @ gw @ layer.q_in.T)
                 gb = layer.bias_basis.T @ gb
             grads[2 * i], grads[2 * i + 1] = gw, gb
-            g = gz @ cache["weights"][i]
+            w = cache["weights"][i]
+            g = np.matmul(gz, w, out=cotangent(i, w.shape[1]))
         if self.input_transform is not None:
-            g = g @ self.input_transform
+            g = np.matmul(g, self.input_transform, out=cotangent(-1, self.input_transform.shape[1]))
         return grads, g
 
 

@@ -435,7 +435,7 @@ def generate_dataset(
         "n_test": n_test,
         "horizon": horizon,
     }
-    return TrajectoryDataset(trajs, tuple(splits), system.rep_x, 1.0, provenance)
+    return TrajectoryDataset._adopt(trajs, tuple(splits), system.rep_x, 1.0, provenance)
 
 
 def _init_bounds(init_box, m: int) -> tuple:
@@ -549,17 +549,22 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
     """Parse the ``traj_*.csv`` files a manifest names into a dataset.
 
     Each file must hold a header and ``horizon + 1`` rows of ``dim + 1``
-    finite numbers, with one split tag per trajectory; malformed input
-    raises ``ValueError`` and a missing file ``OSError``.  The lines after
-    the header are counted, blank ones included, before one ``np.loadtxt``
-    call parses them all; ``loadtxt`` rejects ragged rows and skips blank
-    lines, so its shape must match as well.
+    finite numbers, every row ending in a newline, with one split tag per
+    trajectory; malformed input raises ``ValueError`` and a missing file
+    ``OSError``.  A last row with no newline is rejected, since a file cut
+    inside its last value would otherwise parse as a different number.
+    The lines after the header are counted, blank ones included, before
+    one ``np.loadtxt`` call parses them all; ``loadtxt`` rejects ragged
+    rows and skips blank lines, so its shape must match as well.
     """
     n, dim, horizon = (manifest[k] for k in ("n_trajectories", "dim", "horizon"))
     trajs = np.empty((n, horizon + 1, dim))
     for i in range(n):
         name = f"traj_{i:05d}.csv"
-        body = (directory / name).read_text().strip().partition("\n")[2]
+        text = (directory / name).read_text()
+        if text and not text.endswith("\n"):
+            raise ValueError(f"{name}: the last row has no terminating newline (file cut short?)")
+        body = text.strip().partition("\n")[2]
         n_lines = body.count("\n") + 1 if body else 0
         if n_lines != horizon + 1:
             raise ValueError(f"{name}: {n_lines} rows, expected {horizon + 1}")

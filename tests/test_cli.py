@@ -248,6 +248,9 @@ def _corrupt(data_dir, case):
     elif case == "empty":
         path.write_text("")
         return
+    elif case == "cut_last_value":
+        path.write_bytes(path.read_bytes()[:-5])
+        return
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -262,7 +265,8 @@ def _corrupt(data_dir, case):
      ("blank_line_for_a_row", 2, "traj_00001.csv"), ("crlf", 0, ""),
      ("null_n_trajectories", 2, "n_trajectories"), ("number_splits", 2, "splits"),
      ("regular_kind", 2, "rep_x.kind"),
-     ("unknown_split_tag", 2, "trajectory 1 has unknown split tag 'bogus'")],
+     ("unknown_split_tag", 2, "trajectory 1 has unknown split tag 'bogus'"),
+     ("cut_last_value", 2, "traj_00001.csv")],
 )
 def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
     cfg = load_config(write_config(tmp_path, variants=["edmd"]))

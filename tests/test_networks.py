@@ -3,11 +3,13 @@ import pytest
 
 from dha.groups import make_cyclic, group_from_descriptor, regular_rep_copies
 from dha.isotypic import isotypic_basis
+from dha.koopman import TrainConfig, train
 from dha.nets import (
     InvalidStateError,
     Layer,
     Network,
     TrainingDivergenceError,
+    _lent_workspace,
     adam_init,
     adam_step,
     default_hidden_width,
@@ -15,6 +17,7 @@ from dha.nets import (
     equivariant_net,
     net_equivariance_residual,
 )
+from dha.systems import generate_dataset, random_symmetric_stable_system
 
 
 def finite_difference_grads(loss_of_params, params, h=1e-6):
@@ -185,6 +188,70 @@ def test_stale_cache_rejected():
     net.set_parameters([p.copy() for p in net.parameters()])
     with pytest.raises(InvalidStateError):
         net.backward(cache, np.zeros((1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Workspace
+# ---------------------------------------------------------------------------
+
+
+def _workspace_net():
+    rep = regular_rep_copies(make_cyclic(3), 6)
+    return equivariant_net(rep, [6, 6], rep, np.random.default_rng(6),
+                           output_transform=isotypic_basis(rep).q)
+
+
+def test_forward_in_workspace_makes_earlier_cache_stale():
+    net = _workspace_net()
+    rng = np.random.default_rng(7)
+    x1, x2 = rng.standard_normal((2, 5, 6))
+    cot = rng.standard_normal((5, 6))
+    with _lent_workspace([net]):
+        y1, cache1 = net.forward(x1)
+        expected = net.backward(cache1, cot)
+        kept = y1.copy()
+        y2, cache2 = net.forward(x2)  # same row count: writes the same buffers
+        assert np.shares_memory(y1, y2) and not np.array_equal(y1, kept)
+        with pytest.raises(InvalidStateError, match="later forward"):
+            net.backward(cache1, cot)
+        net.backward(cache2, cot)
+        # The same inputs again give the same gradients through reused buffers.
+        _, cache3 = net.forward(x1)
+        grads, gx = net.backward(cache3, cot)
+    assert all(np.array_equal(a, b) for a, b in zip(grads + [gx], expected[0] + [expected[1]]))
+
+
+def test_forward_without_cache_is_not_differentiable():
+    net = _workspace_net()
+    with _lent_workspace([net]) as workspace:
+        workspace.keep_cache = False
+        y, cache = net.forward(np.ones((3, 6)))
+        with pytest.raises(InvalidStateError, match="kept no activations"):
+            net.backward(cache, np.ones(y.shape))
+
+
+def test_forward_outside_training_returns_fresh_arrays():
+    net = _workspace_net()
+    x = np.random.default_rng(8).standard_normal((4, 6))
+    (y1, cache1), (y2, cache2) = net.forward(x), net.forward(x)
+    assert np.array_equal(y1, y2)
+    for a in [y1] + cache1["outputs"]:
+        for b in [y2] + cache2["outputs"]:
+            assert not np.shares_memory(a, b)
+    _, gx1 = net.backward(cache1, np.ones(y1.shape))
+    _, gx2 = net.backward(cache2, np.ones(y2.shape))
+    assert not np.shares_memory(gx1, gx2)
+
+
+@pytest.mark.parametrize("variant", ["dae", "edae"])
+def test_train_returns_networks_without_workspace(variant):
+    group = make_cyclic(3)
+    rep = regular_rep_copies(group, 6)
+    system = random_symmetric_stable_system(group, rep, 0.9, sigma=0.01, seed=0)
+    data = generate_dataset(system, n_train=4, n_test=0, horizon=8, seed=0)
+    model = train(variant, data, TrainConfig(latent_dim=6, horizon=3, epochs=2, batch=8,
+                                             hidden_layers=1, width=6))
+    assert model.encoder._workspace is None and model.decoder._workspace is None
 
 
 # ---------------------------------------------------------------------------
