@@ -351,6 +351,8 @@ def cmd_sweep(config: dict, axis: str, values, out_dir=None, workers: int | None
     subdirectory; aggregation is a deterministic post-pass writing a long
     CSV and a mean/min/max chart per variant.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}")
     points = [(value, _with_setting(config, SWEEP_AXES[axis], value)) for value in values]

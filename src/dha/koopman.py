@@ -12,7 +12,7 @@ the latent commutant).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +247,10 @@ class KoopmanModel:
     coordinates in ``k_map`` and its dense matrix, in the original feature
     basis, in ``k_matrix``.  :func:`train` and :func:`load_model` start
     from the same unfitted model of each variant.
+
+    ``params`` holds every fitted parameter, each layer's ``weight`` and
+    ``bias`` (encoder, decoder) then the operator's ``theta`` or dense
+    ``k_matrix``; the layer arrays and a dense ``k_matrix`` view it.
     """
 
     variant: str
@@ -261,6 +265,28 @@ class KoopmanModel:
     feature_iso: IsotypicBasis | None = None
     config: TrainConfig | None = None
     training_report: dict | None = None
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [p for net in _networks(self) for p in net.parameters()]
+        arrays.append(self.k_map.theta if self.k_map is not None else self.k_matrix)
+        self.params = np.concatenate(arrays, axis=None)
+        chunks = np.split(self.params, np.cumsum([a.size for a in arrays]))
+        views = iter(c.reshape(a.shape) for c, a in zip(chunks, arrays))
+        for net in _networks(self):
+            net.set_parameters([next(views) for _ in range(2 * len(net.layers))])
+        if self.k_map is None:
+            self.k_matrix = next(views)
+        self._n_net = self.params.size - arrays[-1].size
+
+    def _sync_params(self):
+        """After a write into ``params``: refuse older forward caches, rebuild a commutant operator."""
+        for net in _networks(self):
+            net._version += 1
+        if self.k_map is not None:
+            self.k_map = EquivariantLinearMap(self.k_map.basis, self.params[self._n_net:])
+            k, iso = assemble(self.k_map), self.feature_iso
+            self.k_matrix = k if iso is None else iso.q.T @ k @ iso.q
 
     @property
     def state_dim(self) -> int:
@@ -282,14 +308,6 @@ class KoopmanModel:
             return np.asarray(z)[..., : self.state_dim]
         x, _ = self.decoder.forward(z)
         return x
-
-    def refresh_k(self):
-        """Re-assemble the dense operator after a ``k_map`` coordinate update."""
-        if self.k_map is not None:
-            k = assemble(self.k_map)
-            if self.feature_iso is not None:
-                k = self.feature_iso.q.T @ k @ self.feature_iso.q
-            self.k_matrix = k
 
 
 def _features(x: np.ndarray, observable: str) -> np.ndarray:
@@ -401,7 +419,7 @@ def _new_model(variant, rep_x, config, rng) -> KoopmanModel:
     ``dae``/``dae_aug``/``edae`` draw their networks from ``rng``; ``edae``
     maps to a latent stack of regular-representation copies.  The operator
     starts at the identity; a commutant operator holds its coordinates,
-    which :meth:`KoopmanModel.refresh_k` assembles to ``k_matrix``.
+    which :meth:`KoopmanModel._sync_params` assembles to ``k_matrix``.
     """
     group, m = rep_x.group, rep_x.dim
     _check_variant(variant, group.order, config)
@@ -442,10 +460,10 @@ def _fit_closed_form(model: KoopmanModel, dataset: TrajectoryDataset) -> Koopman
     x, y = snapshot_pairs(dataset)
     fx, fy = model.encode(x.T).T, model.encode(y.T).T
     if model.k_map is None:
-        model.k_matrix = edmd_fit(fx, fy, config.ridge)
+        model.k_matrix[...] = edmd_fit(fx, fy, config.ridge)
     else:
-        model.k_map = eedmd_fit(fx, fy, model.feature_iso, config.ridge)
-        model.refresh_k()
+        model.params[:] = eedmd_fit(fx, fy, model.feature_iso, config.ridge).theta
+    model._sync_params()
     resid = np.matmul(model.k_matrix, fx)  # (fy - K fx) ** 2, formed in place
     np.subtract(fy, resid, out=resid)
     resid *= resid
@@ -459,24 +477,6 @@ def _fit_closed_form(model: KoopmanModel, dataset: TrajectoryDataset) -> Koopman
 
 def _networks(model: KoopmanModel) -> list:
     return [net for net in (model.encoder, model.decoder) if net is not None]
-
-
-def _model_params(model: KoopmanModel):
-    """Network parameters in encoder, decoder order, then the operator (``theta`` or ``K``)."""
-    k_param = model.k_map.theta.copy() if model.k_map is not None else model.k_matrix.copy()
-    return [p for net in _networks(model) for p in net.parameters()] + [k_param]
-
-
-def _apply_params(model: KoopmanModel, params):
-    it = iter(params)
-    for net in _networks(model):
-        net.set_parameters([next(it) for _ in range(2 * len(net.layers))])
-    k_param = next(it)
-    if model.k_map is not None:
-        model.k_map = EquivariantLinearMap(model.k_map.basis, k_param)
-        model.refresh_k()
-    else:
-        model.k_matrix = k_param
 
 
 def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> KoopmanModel:
@@ -496,7 +496,7 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
         return _fit_closed_form(model, dataset)
     rep_x = dataset.rep_x
     gamma = config.gamma if config.gamma is not None else float(np.sqrt(rep_x.dim / model.latent_dim))
-    model.refresh_k()
+    model._sync_params()
 
     states, windows = _windows(dataset, "train", config.horizon)
     if config.max_windows is not None and config.max_windows < windows.shape[0]:
@@ -507,10 +507,10 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
     if windows.shape[0] == 0:
         raise ValueError("dataset provides no training windows")
 
-    params = _model_params(model)
+    params, grads = model.params, np.empty_like(model.params)
     state = adam_init(params)
     metrics = []
-    best = {"val": np.inf, "params": [p.copy() for p in params], "epoch": -1}
+    best = {"val": np.inf, "params": params.copy(), "epoch": -1}
     stale = 0
     n_win = windows.shape[0]
     rows = (config.horizon + 1) * max(min(config.batch, n_win), val_windows.shape[0])
@@ -536,8 +536,9 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
                     )
                     if model.k_map is not None:
                         dk = coordinates(dk, model.k_map.basis)
-                    params, state = adam_step(params, grads_enc + grads_dec + [dk], state, lr=config.lr)
-                _apply_params(model, params)
+                    np.concatenate(grads_enc + grads_dec + [dk], axis=None, out=grads)
+                    adam_step(params, grads, state, lr=config.lr)
+                model._sync_params()
                 epoch_loss += loss
                 epoch_recon += recon
                 epoch_latent += latent
@@ -560,13 +561,14 @@ def train(variant: str, dataset: TrajectoryDataset, config: TrainConfig) -> Koop
                 }
             )
             if val_loss < best["val"] - 1e-12:
-                best = {"val": val_loss, "params": [p.copy() for p in params], "epoch": epoch}
+                best = {"val": val_loss, "params": params.copy(), "epoch": epoch}
                 stale = 0
             else:
                 stale += 1
                 if stale > config.patience:
                     break
-    _apply_params(model, best["params"])
+    params[:] = best["params"]
+    model._sync_params()
     model.training_report = {
         "metrics": metrics,
         "best_epoch": best["epoch"],
@@ -600,13 +602,10 @@ def predict_batch(model: KoopmanModel, x0: np.ndarray, horizon: int) -> np.ndarr
 
 
 def n_trainable_params(model: KoopmanModel) -> int:
-    """Number of fitted parameters: network weights and biases plus the operator.
-
-    The operator counts its commutant coordinates if it has them and its
-    ``latent_dim ** 2`` entries otherwise, so ``edmd`` reports the size of
-    its least-squares operator.
-    """
-    return int(sum(p.size for p in _model_params(model)))
+    """Size of ``model.params``: network weights and biases plus the operator's commutant
+    coordinates if it has them and its ``latent_dim ** 2`` entries otherwise, so ``edmd``
+    reports the size of its least-squares operator."""
+    return int(model.params.size)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +614,8 @@ def n_trainable_params(model: KoopmanModel) -> int:
 
 
 def save_model(model: KoopmanModel, path):
-    """JSON checkpoint: architecture header plus the base64 float64 parameters
-    of :func:`_model_params`, the list :func:`load_model` fills."""
+    """JSON checkpoint: architecture header plus the network and the operator parts
+    of :attr:`KoopmanModel.params` in base64 float64, which :func:`load_model` fills."""
     cfg = asdict(model.config) if model.config is not None else {}
     header = {
         "variant": model.variant,
@@ -628,15 +627,15 @@ def save_model(model: KoopmanModel, path):
     }
     if model.k_map is not None:
         header["basis_fingerprint"] = model.k_map.basis.layout_fingerprint()
-    *nets, k = _model_params(model)
+    n_net, kind = model._n_net, "dense" if model.k_map is None else "theta"
     doc = {
         "format": "dha-model-v1",
         "header": header,
-        "k_payload": {"kind": "dense" if model.k_map is None else "theta", "data": encode_f64(k)},
+        "k_payload": {"kind": kind, "data": encode_f64(model.params[n_net:])},
         "training_report": model.training_report,
     }
-    if nets:
-        doc["net_params"] = encode_f64(np.concatenate(nets, axis=None))
+    if model.encoder is not None:
+        doc["net_params"] = encode_f64(model.params[:n_net])
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
@@ -649,8 +648,8 @@ def load_model(path) -> KoopmanModel:
     ``rep_x`` or payload field of the wrong JSON type, an unknown variant or
     config key, a config value of the wrong type or range, a
     ``latent_dim`` or observable other than the rebuilt model's, a
-    commutant block layout that does not match, a payload of the wrong
-    size, or a non-finite parameter.
+    commutant block layout that does not match, a ``k_payload.kind`` other
+    than the operator's, a payload of the wrong size, or a non-finite parameter.
     """
     doc = typed(json.loads(Path(path).read_text()), dict, "checkpoint")
     if doc.get("format") != "dha-model-v1":
@@ -667,15 +666,17 @@ def load_model(path) -> KoopmanModel:
         )
     if model.k_map is not None and header.get("basis_fingerprint") != model.k_map.basis.layout_fingerprint():
         raise ValueError("checkpoint block layout does not match the rebuilt basis")
-    *nets, k = _model_params(model)
     flat = decode_f64(typed(doc.get("net_params", ""), str, "net_params"))
-    k_param = decode_f64(typed(typed(doc["k_payload"], dict, "k_payload")["data"], str, "k_payload.data"))
-    if flat.size != sum(p.size for p in nets) or k_param.size != k.size:
+    k_payload = typed(doc["k_payload"], dict, "k_payload")
+    if k_payload.get("kind") != ("dense" if model.k_map is None else "theta"):
+        raise ValueError(f"checkpoint k_payload.kind {k_payload.get('kind')!r} does not fit {model.variant}")
+    k_param = decode_f64(typed(k_payload["data"], str, "k_payload.data"))
+    if flat.size != model._n_net or k_param.size != model.params.size - model._n_net:
         raise ValueError("checkpoint parameter payload does not match the architecture")
     if not (np.all(np.isfinite(flat)) and np.all(np.isfinite(k_param))):
         raise ValueError("checkpoint holds non-finite parameters")
-    chunks = np.split(flat, np.cumsum([p.size for p in nets], dtype=int))
-    _apply_params(model, [c.reshape(p.shape) for c, p in zip(chunks, nets)] + [k_param.reshape(k.shape)])
+    np.concatenate([flat, k_param], out=model.params)
+    model._sync_params()
     model.training_report = doc.get("training_report")
     return model
 

@@ -351,31 +351,27 @@ def equivariant_net(
 
 
 def adam_init(params):
-    """Step 0 and zero moments ``m``, ``v``: one flat vector each over ``params``."""
-    n = sum(p.size for p in params)
-    return {"step": 0, "m": np.zeros(n), "v": np.zeros(n)}
+    """Step 0 and zero moments ``m``, ``v`` shaped like the flat parameter vector ``params``."""
+    return {"step": 0, "m": np.zeros_like(params), "v": np.zeros_like(params)}
 
 
 def adam_step(params, grads, state, lr):
-    """One bias-corrected adaptive-moment update; returns new params/state.
+    """One bias-corrected adaptive-moment update of the flat vector ``params`` and the moments, in place.
 
-    The moment decays are 0.9 and 0.999, with 1e-8 added to the denominator.
-    All parameters are updated at once, elementwise, into one new flat vector
-    (never in place: forward caches still hold the old weights)."""
-    g = np.concatenate(grads, axis=None)
-    if not np.all(np.isfinite(g)):
+    The moment decays are 0.9 and 0.999, with 1e-8 added to the denominator.  ``grads`` is left
+    as it is; a non-finite gradient raises ``TrainingDivergenceError`` before anything is written."""
+    if not np.all(np.isfinite(grads)):
         raise TrainingDivergenceError("non-finite gradient in optimizer step")
-    step = state["step"] + 1
+    state["step"] = step = state["step"] + 1
     decay1, decay2, eps = 0.9, 0.999, 1e-8
     c1 = 1.0 - decay1 ** step
     c2 = 1.0 - decay2 ** step
-    m = decay1 * state["m"] + (1.0 - decay1) * g
-    v = decay2 * state["v"] + (1.0 - decay2) * g * g
-    flat = np.concatenate(params, axis=None)
-    flat -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    ends = np.cumsum([p.size for p in params])
-    new_params = [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
-    return new_params, {"step": step, "m": m, "v": v}
+    m, v = state["m"], state["v"]
+    m *= decay1
+    m += (1.0 - decay1) * grads
+    v *= decay2
+    v += (1.0 - decay2) * grads * grads
+    params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def net_equivariance_residual(net: Network, rep_in: Representation, rep_out: Representation,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 from pathlib import Path
@@ -312,6 +313,8 @@ def _corrupt_checkpoint(doc, case):
         doc["k_payload"]["data"] = 5
     elif case == "regular_kind":
         header["rep_x"]["kind"] = "regular"
+    elif case == "wrong_k_kind":
+        doc["k_payload"]["kind"] = "dense"
     elif case == "list_document":
         return [1, 2]
     return doc
@@ -325,7 +328,7 @@ def _corrupt_checkpoint(doc, case):
      ("short_net_params", "payload does not match"), ("string_seed", "seed"),
      ("string_width", "width"), ("string_rep_x", "rep_x"), ("list_header", "header"),
      ("number_k_data", "k_payload.data"), ("list_document", "checkpoint"),
-     ("regular_kind", "rep_x.kind")],
+     ("regular_kind", "rep_x.kind"), ("wrong_k_kind", "k_payload.kind 'dense'")],
 )
 def test_corrupt_checkpoint_exit_codes(tmp_path, capsys, case, message):
     doc = _corrupt_checkpoint(json.loads(CHECKPOINT.read_text()), case)
@@ -454,6 +457,20 @@ def test_sweep_points_are_checked_configs(tmp_path, capsys, axis, values, flags,
     assert main(argv + [arg for flag in flags for arg in ("--set", flag)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()  # a rejected config stops the sweep before any point runs
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_workers_below_one(tmp_path, capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    path = write_config(tmp_path, variants=["edmd"], seeds=[0, 1])
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(path), "--axis", "samples", "--values", "20,40", "--workers", workers, "--out", str(out)]
+    assert main(argv) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_leaves_config_untouched(tmp_path):

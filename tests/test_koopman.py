@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from dha.koopman import (
     snapshot_pairs,
     train,
 )
-from dha.nets import Layer, Network, TrainingDivergenceError
+from dha.nets import InvalidStateError, Layer, Network, TrainingDivergenceError, adam_init, adam_step
 from dha.systems import generate_dataset, random_symmetric_stable_system, rollout
 
 
@@ -201,14 +204,15 @@ def test_overflowing_rollout_raises_training_divergence():
 def test_dae_loss_is_the_loss_training_minimizes(desc, variant):
     # The reference dae_loss (one window, default gamma) and the training step's
     # batch loss agree per window and on the mean.
-    from dha.koopman import _apply_params, _model_params, _new_model
+    from dha.koopman import _new_model
 
     group = group_from_descriptor(desc)
     rep = regular_rep_copies(group, 2 * group.order, "X")
     cfg = TrainConfig(latent_dim=group.order, horizon=6, hidden_layers=1, width=2 * group.order)
     rng = np.random.default_rng(5)
     model = _new_model(variant, rep, cfg, rng)
-    _apply_params(model, [p + 0.1 * rng.standard_normal(p.shape) for p in _model_params(model)])
+    model.params += 0.1 * rng.standard_normal(model.params.size)
+    model._sync_params()
     windows = rng.standard_normal((5, cfg.horizon + 1, rep.dim))
     gamma = float(np.sqrt(rep.dim / cfg.latent_dim))  # train's default
 
@@ -369,34 +373,34 @@ def test_full_loss_gradient_matches_finite_differences():
     gamma = 1.0
 
     def loss_of(params):
-        from dha.koopman import _apply_params
-        _apply_params(model, params)
+        model.params[:] = params
+        model._sync_params()
         loss, _, _, _ = _batch_loss_and_grads(
             model.encoder, model.decoder, model.k_matrix, windows, gamma, need_grads=False
         )
         return loss
 
-    from dha.koopman import _apply_params, _model_params
-    params = _model_params(model)
-    _apply_params(model, params)
+    params = model.params.copy()
     loss, _, _, grads = _batch_loss_and_grads(
         model.encoder, model.decoder, model.k_matrix, windows, gamma
     )
     grads_enc, grads_dec, dk = grads
     dtheta = np.tensordot(model.k_map.basis.basis_matrices, dk, axes=([1, 2], [0, 1]))
     analytic = grads_enc + grads_dec + [dtheta]
+    assert sum(a.size for a in analytic) == params.size
     h = 1e-6
-    for pi, p in enumerate(params):
-        flat = p.reshape(-1)
-        for j in range(min(flat.size, 25)):
-            bumped = [q.copy() for q in params]
-            bumped[pi].reshape(-1)[j] = flat[j] + h
+    start = 0
+    for a in analytic:  # the first 25 entries of every parameter array
+        for j in range(start, start + min(a.size, 25)):
+            bumped = params.copy()
+            bumped[j] = params[j] + h
             up = loss_of(bumped)
-            bumped[pi].reshape(-1)[j] = flat[j] - h
+            bumped[j] = params[j] - h
             down = loss_of(bumped)
             fd = (up - down) / (2 * h)
-            an = analytic[pi].reshape(-1)[j]
+            an = a.reshape(-1)[j - start]
             assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd), abs(an))
+        start += a.size
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +465,55 @@ def test_parameter_count_includes_every_fitted_operator(observable, n_edmd, n_ee
 # ---------------------------------------------------------------------------
 
 
+def assert_views_of_params(model):
+    """Every layer's ``weight`` and ``bias`` and a dense operator share memory with ``model.params``."""
+    arrays = [p for net in (model.encoder, model.decoder) if net is not None for p in net.parameters()]
+    if model.k_map is None:
+        arrays.append(model.k_matrix)
+    assert all(np.shares_memory(a, model.params) for a in arrays)
+
+
 @pytest.mark.parametrize("variant", ["edmd", "eedmd", "dae", "dae_aug", "edae"])
 def test_checkpoint_roundtrip(variant, tmp_path):
     _, ds = make_dataset(desc="C2", m=4, sigma=0.01, horizon=15)
     cfg = TrainConfig(latent_dim=8, horizon=3, epochs=2, seed=1)
     model = train(variant, ds, cfg)
+    assert_views_of_params(model)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
+    assert_views_of_params(loaded)
+    assert np.array_equal(loaded.params, model.params)
+    if model.k_map is not None:
+        assert np.array_equal(loaded.k_map.theta, model.k_map.theta)
     x0 = ds.trajectories[:1, 0]
     assert np.array_equal(predict_batch(loaded, x0, 5), predict_batch(model, x0, 5))
     assert loaded.spectral_radius == pytest.approx(model.spectral_radius)
+
+
+@pytest.mark.parametrize("variant", ["dae", "edae"])
+def test_optimizer_step_makes_earlier_forward_cache_stale(variant):
+    # The layer arrays are views of params, so an in-place step changes the weights a cache
+    # holds; the step's sync must make backward refuse such a cache.
+    _, ds = make_dataset(desc="C2", m=4, sigma=0.01, horizon=15)
+    model = train(variant, ds, TrainConfig(latent_dim=8, horizon=3, epochs=1, seed=1))
+    x = ds.trajectories[0, :5]
+    (z, enc_cache), (y, dec_cache) = model.encoder.forward(x), model.decoder.forward(model.encode(x))
+    adam_step(model.params, np.ones_like(model.params), adam_init(model.params), lr=1e-2)
+    model._sync_params()
+    for net, cache, out in ((model.encoder, enc_cache, z), (model.decoder, dec_cache, y)):
+        with pytest.raises(InvalidStateError, match="parameters changed"):
+            net.backward(cache, np.ones(out.shape))
+
+
+@pytest.mark.parametrize("name, kind", [("dae", "theta"), ("eedmd", "banana"), ("edmd", None)])
+def test_checkpoint_operator_kind_must_fit_the_model(name, kind, tmp_path):
+    doc = json.loads((Path(__file__).parent / "data" / f"checkpoint_{name}_c3.json").read_text())
+    doc["k_payload"]["kind"] = kind
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"k_payload.kind {kind!r}"):
+        load_model(path)
 
 
 def test_poly2_observables_roundtrip(tmp_path):

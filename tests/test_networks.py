@@ -38,6 +38,15 @@ def finite_difference_grads(loss_of_params, params, h=1e-6):
     return grads
 
 
+def flat_parameters(net):
+    """One vector over ``net``'s parameters, with every layer's arrays rebound to views of it."""
+    arrays = net.parameters()
+    flat = np.concatenate(arrays, axis=None)
+    chunks = np.split(flat, np.cumsum([a.size for a in arrays]))
+    net.set_parameters([c.reshape(a.shape) for c, a in zip(chunks, arrays)])
+    return flat
+
+
 def rel_err(a, b):
     return np.abs(a - b) / np.maximum(1e-8, np.maximum(np.abs(a), np.abs(b)))
 
@@ -260,19 +269,19 @@ def test_train_returns_networks_without_workspace(variant):
 
 
 def test_adam_zero_gradient_is_noop():
-    params = [np.array([1.0, -2.0])]
-    out, _ = adam_step(params, [np.zeros(2)], adam_init(params), lr=0.1)
-    assert np.array_equal(out[0], params[0])
+    params = np.array([1.0, -2.0])
+    adam_step(params, np.zeros(2), adam_init(params), lr=0.1)
+    assert np.array_equal(params, [1.0, -2.0])
 
 
 def test_adam_constant_gradient_approaches_signed_rate():
-    params = [np.array([0.0])]
-    grads = [np.array([3.7])]
+    params = np.array([0.0])
+    grads = np.array([3.7])
     state = adam_init(params)
     for _ in range(500):
-        new_params, state = adam_step(params, grads, state, lr=0.01)
-        step = new_params[0] - params[0]
-        params = new_params
+        before = params.copy()
+        adam_step(params, grads, state, lr=0.01)
+        step = params - before
     assert abs(step[0] + 0.01) <= 1e-6  # step -> -lr * sign(g)
 
 
@@ -281,16 +290,21 @@ def test_adam_single_step_scalar_hand_computation():
     # Hand: m = (1-b1) g, v = (1-b2) g^2, mhat = g, vhat = g^2,
     # step = -lr * g / (|g| + eps).
     expected = -lr * g / (abs(g) + eps)
-    params = [np.array([0.0])]
-    out, state = adam_step(params, [np.array([g])], adam_init(params), lr=lr)
-    assert abs(out[0][0] - expected) <= 1e-12
+    params = np.array([0.0])
+    state = adam_init(params)
+    adam_step(params, np.array([g]), state, lr=lr)
+    assert abs(params[0] - expected) <= 1e-12
     assert state["step"] == 1
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = [np.array([0.0])]
+    params = np.array([0.5, 0.0])
+    state = adam_init(params)
     with pytest.raises(TrainingDivergenceError):
-        adam_step(params, [np.array([np.nan])], adam_init(params), lr=0.1)
+        adam_step(params, np.array([1.0, np.nan]), state, lr=0.1)
+    # Nothing was written before the check.
+    assert np.array_equal(params, [0.5, 0.0]) and state["step"] == 0
+    assert not np.any(state["m"]) and not np.any(state["v"])
 
 
 def test_equivariance_preserved_under_training():
@@ -302,13 +316,12 @@ def test_equivariance_preserved_under_training():
     rep_out = iso.rotated_rep()
     x = rng.standard_normal((8, 6))
     t = rng.standard_normal((8, 6))
-    params = net.parameters()
+    params = flat_parameters(net)
     state = adam_init(params)
     for _ in range(25):
         y, cache = net.forward(x)
         grads, _ = net.backward(cache, 2.0 * (y - t))
-        params, state = adam_step(params, grads, state, lr=1e-2)
-        net.set_parameters(params)
+        adam_step(params, np.concatenate(grads, axis=None), state, lr=1e-2)
     assert net_equivariance_residual(net, rep, rep_out, seed=5) <= 1e-9
 
 
@@ -318,17 +331,16 @@ def test_training_is_deterministic():
         net = dense_net([3, 8, 3], rng)
         x = rng.standard_normal((16, 3))
         t = rng.standard_normal((16, 3))
-        params = net.parameters()
+        params = flat_parameters(net)
         state = adam_init(params)
         for _ in range(30):
             y, cache = net.forward(x)
             grads, _ = net.backward(cache, 2.0 * (y - t))
-            params, state = adam_step(params, grads, state, lr=1e-3)
-            net.set_parameters(params)
+            adam_step(params, np.concatenate(grads, axis=None), state, lr=1e-3)
         return params
 
     a, b = run(), run()
-    assert all(np.array_equal(p, q) for p, q in zip(a, b))
+    assert np.array_equal(a, b)
 
 
 def test_default_hidden_width():
