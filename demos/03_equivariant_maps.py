@@ -32,12 +32,12 @@ rng = np.random.default_rng(1)
 # The commutant of the C4 regular representation: one scalar per 1-D
 # irrep block plus the 2-generator algebra on the rotation block -> 4.
 # It is built from the isotypic basis alone, and its maps act in the
-# isotypic coordinates, where the group matrices are cb.rep.
+# isotypic coordinates, where the group matrices are cb.iso.rotated_rep().
 group = make_cyclic(4)
 reg = regular_representation(group)
 iso = isotypic_basis(reg)
 cb = commutant_basis(iso)
-rep_iso = cb.rep
+rep_iso = cb.iso.rotated_rep()
 print(f"commutant of the C4 regular representation: {len(cb)} generators")
 for blk, sl in zip(cb.blocks, cb.block_slices):
     n = sl.stop - sl.start

@@ -62,46 +62,36 @@ class SpectrumReport:
         Path(path).write_text(json.dumps(self.to_json(), sort_keys=True))
 
 
-def _eigenvector_orbit_residual(k, rep, vals, vecs):
-    """Largest violation of the eigenpair orbit property over the group."""
-    worst = 0.0
-    for lam, v in zip(vals, vecs.T):
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        for g in rep.group.elements():
-            gv = rep.matrices[g] @ v
-            worst = max(worst, float(np.linalg.norm(k @ gv - lam * gv)) / nv)
-    return worst
-
-
 def spectrum(operator) -> SpectrumReport:
     """Eigendecomposition tagged by isotypic block.
 
     For an :class:`EquivariantLinearMap` the blocks are exactly
     independent, so each block is decomposed on its own and the eigenpair
     orbit property (symmetric copies of an eigenvector share its
-    eigenvalue) is verified and recorded.  A dense matrix is treated as a
-    single untagged block.
+    eigenvalue) is verified and recorded.  The check also runs per block,
+    where ``rho(g)`` acts on the irrep copies by the stored irrep matrix;
+    the conjugation error of the basis ``q`` is its
+    ``tolerance_report["conjugation"]``.  Eigenvectors are zero-padded to
+    the full dimension.  A dense matrix is treated as a single untagged block.
     """
     if isinstance(operator, EquivariantLinearMap):
-        cbasis = operator.basis
         k = assemble(operator)
-        dim = k.shape[0]
         labels, vals, vecs = [], [], []
-        for blk in cbasis.blocks:
+        resid = 0.0
+        for blk in operator.basis.blocks:
             sub = k[blk.slice, blk.slice]
             w, v = np.linalg.eig(sub)
-            full = np.zeros((dim, w.size), dtype=complex)
+            copies = v.reshape(blk.multiplicity, blk.irrep.dim, w.size)
+            norms = np.linalg.norm(v, axis=0)
+            for mat in blk.irrep.matrices:
+                gv = (mat @ copies).reshape(v.shape)
+                resid = max(resid, float(np.max(np.linalg.norm(sub @ gv - gv * w, axis=0) / norms)))
+            full = np.zeros((k.shape[0], w.size), dtype=complex)
             full[blk.slice] = v
             labels.append(blk.label)
             vals.append(w)
             vecs.append(full)
-        all_vals = np.concatenate(vals) if vals else np.zeros(0, complex)
-        resid = _eigenvector_orbit_residual(
-            k, cbasis.rep, all_vals, np.concatenate(vecs, axis=1) if vecs else np.zeros((dim, 0))
-        )
-        radius = float(np.max(np.abs(all_vals))) if all_vals.size else 0.0
+        radius = max((float(np.max(np.abs(w))) for w in vals), default=0.0)
         return SpectrumReport(labels, vals, vecs, radius, resid)
     k = np.asarray(operator, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -250,12 +240,6 @@ def emit_plot_data(series: dict, base_path, title: str = "", log_y: bool = False
     return csv_path, svg_path
 
 
-def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, n)
-
-
 def _render_svg(series, title, log_y, x_label, y_label):
     title, x_label, y_label = (text.translate(_XML_TEXT) for text in (title, x_label, y_label))
     width, height = 800, 500
@@ -290,12 +274,12 @@ def _render_svg(series, title, log_y, x_label, y_label):
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
     ]
-    for tx in _ticks(x_lo, x_hi):
+    for tx in np.linspace(x_lo, x_hi, 5):
         parts.append(
             f'<text x="{px(tx):.1f}" y="{mt + ph + 18}" font-family="sans-serif" '
             f'font-size="10" text-anchor="middle">{tx:.3g}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in np.linspace(y_lo, y_hi, 5):
         label = f"1e{ty:.2f}" if log_y else f"{ty:.3g}"
         parts.append(
             f'<text x="{ml - 6}" y="{py(ty):.1f}" font-family="sans-serif" '

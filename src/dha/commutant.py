@@ -105,7 +105,7 @@ class CommutantBasis:
     Attributes
     ----------
     iso : IsotypicBasis
-        The decomposed space; :attr:`blocks` and :attr:`rep` are read from it.
+        The decomposed space; :attr:`blocks` is read from it.
     table : _GeneratorTable
         The generators' nonzeros; each generator commutes with every group
         matrix and is block-diagonal.
@@ -124,11 +124,6 @@ class CommutantBasis:
     def blocks(self) -> tuple:
         """Block layout of the decomposed space."""
         return self.iso.blocks
-
-    @property
-    def rep(self) -> Representation:
-        """The space's representation in isotypic coordinates (``iso.rotated_rep()``)."""
-        return self.iso.rotated_rep()
 
     @property
     def basis_matrices(self) -> np.ndarray:

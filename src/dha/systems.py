@@ -315,12 +315,19 @@ def orbit_representative(x: np.ndarray, rep_x: Representation):
 # ---------------------------------------------------------------------------
 
 
+def _check_split_tags(splits):
+    for i, tag in enumerate(splits):
+        if tag not in ("train", "val", "test"):
+            raise ValueError(f"trajectory {i} has unknown split tag {tag!r}; expected train, val or test")
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """Fixed-length trajectories with split tags and provenance.
 
     ``trajectories`` has shape ``(n, horizon + 1, dim)``; ``splits`` must hold
-    one of ``train``/``val``/``test`` per trajectory (else ``ValueError``).
+    one of ``train``/``val``/``test`` per trajectory and ``rep_x`` must act
+    on ``dim`` coordinates (else ``ValueError``).
     """
 
     trajectories: np.ndarray
@@ -348,11 +355,11 @@ class TrajectoryDataset:
         return ds
 
     def _check(self):
-        for i, tag in enumerate(self.splits):
-            if tag not in ("train", "val", "test"):
-                raise ValueError(f"trajectory {i} has unknown split tag {tag!r}; expected train, val or test")
+        _check_split_tags(self.splits)
         if len(self.splits) != self.n_trajectories:
             raise ValueError(f"{len(self.splits)} split tags for {self.n_trajectories} trajectories")
+        if self.rep_x.dim != self.dim:
+            raise ValueError(f"rep_x acts on dimension {self.rep_x.dim}, the trajectories have dimension {self.dim}")
         if not np.all(np.isfinite(self.trajectories)):
             raise ValueError("trajectories contain non-finite samples")
 
@@ -555,10 +562,19 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
     inside its last value would otherwise parse as a different number.
     The lines after the header are counted, blank ones included, before
     one ``np.loadtxt`` call parses them all; ``loadtxt`` rejects ragged
-    rows and skips blank lines, so its shape must match as well.
+    rows and skips blank lines, so its shape must match as well.  Before
+    allocating, the split tags confirm ``n_trajectories`` (the last file
+    does for ``splits=None``: all ``test``), the first file the rest.
     """
     n, dim, horizon = (manifest[k] for k in ("n_trajectories", "dim", "horizon"))
-    trajs = np.empty((n, horizon + 1, dim))
+    if splits is None:
+        if n and not (directory / f"traj_{n - 1:05d}.csv").is_file():
+            raise ValueError(f"n_trajectories is {n}, but there is no traj_{n - 1:05d}.csv")
+        splits = ("test",) * n
+    _check_split_tags(splits)
+    if len(splits) != n:
+        raise ValueError(f"n_trajectories is {n}, but there are {len(splits)} split tags")
+    trajs = np.empty((0, horizon + 1, dim))  # replaced at the first file unless n == 0
     for i in range(n):
         name = f"traj_{i:05d}.csv"
         text = (directory / name).read_text()
@@ -567,14 +583,18 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
         body = text.strip().partition("\n")[2]
         n_lines = body.count("\n") + 1 if body else 0
         if n_lines != horizon + 1:
-            raise ValueError(f"{name}: {n_lines} rows, expected {horizon + 1}")
+            raise ValueError(f"{name}: {n_lines} rows, expected horizon + 1 = {horizon + 1}")
+        if i == 0:  # before the first parse: allocating after it raises the loader's peak RSS
+            if body.partition("\n")[0].count(",") != dim:
+                raise ValueError(f"{name}: the first row does not hold dim + 1 = {dim + 1} values")
+            trajs = np.empty((n, horizon + 1, dim))
         try:
             values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
         except ValueError as err:
             raise ValueError(f"{name}: {err}") from None
         if values.shape != (horizon + 1, dim + 1):
             raise ValueError(f"{name}: {values.shape[0]} rows of {values.shape[1]} columns, "
-                             f"expected {horizon + 1} rows of {dim + 1}")
+                             f"expected {horizon + 1} rows of dim + 1 = {dim + 1}")
         trajs[i] = values[:, 1:]
     return TrajectoryDataset._adopt(trajs, tuple(splits), rep, float(dt),
                                     manifest.get("provenance", {}))
@@ -603,13 +623,12 @@ def import_trajectories(directory, rep_x: Representation | dict, splits=None) ->
 
     The caller supplies the representation acting on the recorded state
     (either a :class:`Representation` or a descriptor dict).  Any split
-    tags or provenance present in the manifest are kept unless overridden.
+    tags or provenance present in the manifest are kept unless overridden;
+    with no tags at all, every trajectory is a ``test`` one.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
     rep = rep_x if isinstance(rep_x, Representation) else rep_from_descriptor(rep_x)
-    if rep.dim != manifest["dim"]:
-        raise ValueError(f"representation dim {rep.dim} does not match recorded width {manifest['dim']}")
     if splits is None:
-        splits = manifest.get("splits", ["test"] * manifest["n_trajectories"])
+        splits = manifest.get("splits")
     return _read_dataset(directory, manifest, rep, splits, manifest.get("dt", 1.0))

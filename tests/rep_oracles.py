@@ -1,10 +1,11 @@
-"""Dense oracles for groups, representations, multiplicities and hom spaces.
+"""Dense oracles for groups, representations, multiplicities, hom spaces and spectra.
 
 The library counts multiplicities and hom dimensions from characters.
 These count them by linear algebra on the matrices themselves,
 independently of the irrep table's characters: the rank of a character
 projector and the null space of the vectorized commutation system.  The
-group and representation axioms are checked exhaustively on the tables.
+group and representation axioms are checked exhaustively on the tables,
+and the eigenpair orbit property in the full space.
 """
 
 import numpy as np
@@ -51,3 +52,22 @@ def validate_representation(rep, tol: float = 1e-10):
     worst = np.max(np.linalg.norm(prod - expected, axis=(2, 3)))
     if worst > tol:
         raise AssertionError(f"homomorphism residual {worst:.3e} > {tol:.1e}")
+
+
+def eigenvector_orbit_residual(k, rep, vals, vecs):
+    """Largest ``||K rho(g) v - lam rho(g) v|| / ||v||`` over the group and the eigenpairs.
+
+    The full-space check ``analysis.spectrum`` made before it checked each
+    isotypic block on its irrep copies: one dense matvec per eigenvector
+    and group element, with ``rep`` the representation in the operator's
+    coordinates.
+    """
+    worst = 0.0
+    for lam, v in zip(vals, vecs.T):
+        nv = np.linalg.norm(v)
+        if nv == 0:
+            continue
+        for g in rep.group.elements():
+            gv = rep.matrices[g] @ v
+            worst = max(worst, float(np.linalg.norm(k @ gv - lam * gv)) / nv)
+    return worst

@@ -1,8 +1,13 @@
+import importlib.util
+import json
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+from conftest import ABELIAN_GROUPS_LE_16, random_orthogonal
+from dha import groups, isotypic
 from dha.analysis import (
     emit_plot_data,
     isotypic_energy,
@@ -10,7 +15,13 @@ from dha.analysis import (
     spectrum,
 )
 from dha.commutant import EquivariantLinearMap, assemble, commutant_basis
-from dha.groups import make_cyclic, regular_rep_copies, regular_representation
+from dha.groups import (
+    conjugate_representation,
+    group_from_descriptor,
+    make_cyclic,
+    regular_rep_copies,
+    regular_representation,
+)
 from dha.isotypic import isotypic_basis
 from dha.koopman import KoopmanModel, TrainConfig, train
 from dha.systems import (
@@ -21,6 +32,9 @@ from dha.systems import (
     rollout,
     system_noise,
 )
+from rep_oracles import eigenvector_orbit_residual
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def commutant_of(rep):
@@ -92,6 +106,50 @@ def test_spectrum_similarity_invariance():
         conj = rho.matrices[g] @ k @ rho.matrices[g].T
         vals = np.sort_complex(np.linalg.eigvals(conj))
         assert np.max(np.abs(vals - base)) <= 1e-10
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("descriptor", ABELIAN_GROUPS_LE_16)
+def test_block_orbit_check_matches_dense_oracle(descriptor, conjugated):
+    rng = np.random.default_rng(len(descriptor))
+    group = group_from_descriptor(descriptor)
+    rep = regular_rep_copies(group, 2 * group.order)
+    if conjugated:
+        rep = conjugate_representation(rep, random_orthogonal(rng, rep.dim))
+    iso, cb = commutant_of(rep)
+    emap = EquivariantLinearMap(cb, rng.standard_normal(len(cb)))
+    report = spectrum(emap)
+    k = assemble(emap)
+    for blk, vals, vecs in zip(iso.blocks, report.eigenvalues, report.eigenvectors):
+        w, v = np.linalg.eig(k[blk.slice, blk.slice])
+        full = np.zeros((rep.dim, w.size), dtype=complex)
+        full[blk.slice] = v
+        assert np.array_equal(vals, w) and np.array_equal(vecs, full)
+    dense = eigenvector_orbit_residual(k, iso.rotated_rep(), np.concatenate(report.eigenvalues),
+                                       np.concatenate(report.eigenvectors, axis=1))
+    assert abs(report.orbit_residual - dense) <= 1e-12 * max(1.0, np.linalg.norm(k, 2))
+
+
+def test_spectrum_builds_no_dense_representation(monkeypatch):
+    iso, cb = commutant_of(regular_rep_copies(make_cyclic(4), 8))
+    emap = EquivariantLinearMap(cb, np.random.default_rng(2).standard_normal(len(cb)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum formed a dense representation")
+
+    monkeypatch.setattr(isotypic.IsotypicBasis, "rotated_rep", refuse)
+    monkeypatch.setattr(isotypic, "conjugate_representation", refuse)
+    monkeypatch.setattr(groups, "conjugate_representation", refuse)
+    assert spectrum(emap).orbit_residual <= 1e-10
+
+
+def test_checkpoint_spectra_match_reference_digests():
+    spec = importlib.util.spec_from_file_location("make_spectrum_digests",
+                                                  DATA / "make_spectrum_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    expected = json.loads((DATA / "spectrum_digests.json").read_text())
+    assert {name: script.digest(report) for name, report in script.reports().items()} == expected
 
 
 def test_dense_spectrum_fallback():

@@ -206,7 +206,10 @@ def test_fit_neural_variant_through_cli(tmp_path):
 #: Manifest fields given a value of the wrong type or content, by case name.
 MANIFEST_CASES = {"null_n_trajectories": ("n_trajectories", None), "number_splits": ("splits", 5),
                   "regular_kind": ("rep_x", {"group": "C2", "kind": "regular", "copies": 2}),
-                  "unknown_split_tag": ("splits", ["train", "bogus", 7, None])}
+                  "unknown_split_tag": ("splits", ["train", "bogus", 7, None]),
+                  "huge_n_trajectories": ("n_trajectories", 10**12), "huge_horizon": ("horizon", 10**12),
+                  "huge_dim": ("dim", 10**12),
+                  "rep_x_dim": ("rep_x", {"group": "C2", "kind": "regular_copies", "copies": 3})}
 
 
 def _corrupt(data_dir, case):
@@ -267,6 +270,10 @@ def _corrupt(data_dir, case):
      ("null_n_trajectories", 2, "n_trajectories"), ("number_splits", 2, "splits"),
      ("regular_kind", 2, "rep_x.kind"),
      ("unknown_split_tag", 2, "trajectory 1 has unknown split tag 'bogus'"),
+     ("huge_n_trajectories", 2, "n_trajectories is 1000000000000"),
+     ("huge_horizon", 2, "expected horizon + 1 = 1000000000001"),
+     ("huge_dim", 2, "the first row does not hold dim + 1 = 1000000000001 values"),
+     ("rep_x_dim", 2, "rep_x acts on dimension 6, the trajectories have dimension 4"),
      ("cut_last_value", 2, "traj_00001.csv")],
 )
 def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):

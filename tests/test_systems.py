@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -351,6 +352,29 @@ def test_dataset_checks_split_tags(splits, message):
     rep = regular_rep_copies(make_cyclic(2), 2)
     with pytest.raises(ValueError, match=message):
         TrajectoryDataset(np.zeros((3, 4, 2)), splits, rep, 1.0, {})
+
+
+def test_dataset_checks_rep_dimension():
+    rep = regular_rep_copies(make_cyclic(2), 6)
+    with pytest.raises(ValueError, match="rep_x acts on dimension 6, the trajectories have dimension 4"):
+        TrajectoryDataset(np.zeros((3, 4, 4)), ("train",) * 3, rep, 1.0, {})
+
+
+def test_untagged_import_confirms_n_trajectories(tmp_path):
+    sys0 = random_symmetric_stable_system(make_cyclic(2), regular_rep_copies(make_cyclic(2), 2),
+                                          0.9, sigma=0.01, n_constraints=0, seed=0)
+    save_dataset(generate_dataset(sys0, n_train=2, n_test=1, horizon=4, seed=1), tmp_path)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["splits"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert import_trajectories(tmp_path, sys0.rep_x).splits == ("test",) * 3
+    with pytest.raises(ValueError, match="rep_x acts on dimension 6"):
+        import_trajectories(tmp_path, {"group": "C2", "kind": "regular_copies", "copies": 3})
+    manifest["n_trajectories"] = 10**12
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="n_trajectories is 1000000000000, but there is no traj_"):
+        import_trajectories(tmp_path, sys0.rep_x)
 
 
 def test_explicit_rep_descriptor_roundtrip():
