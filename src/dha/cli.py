@@ -4,7 +4,7 @@ One JSON config document drives everything; command-line ``--set``
 flags override individual paths (``--set training.lr=1e-3``).  Every
 command prints a single summary line, writes deterministic output trees
 (identical configs hash identically), and exits with 0 on success, 2 on
-config errors, 3 on numeric failures and 4 on I/O failures.
+config errors and runs out of memory, 3 on numeric failures, 4 on I/O failures.
 """
 
 from __future__ import annotations
@@ -527,6 +527,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"config error: the run ran out of memory ({err})", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"i/o failure: {err}", file=sys.stderr)

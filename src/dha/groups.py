@@ -26,7 +26,6 @@ __all__ = [
     "Representation",
     "Irrep",
     "IrrepTable",
-    "UnsupportedGroupError",
     "make_cyclic",
     "direct_product",
     "group_from_descriptor",
@@ -40,36 +39,32 @@ __all__ = [
 ]
 
 
-class UnsupportedGroupError(ValueError):
-    """Raised for group structures outside the cyclic-factor scope."""
-
-
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite abelian group given by its composition table and cyclic factors.
+    """A finite abelian group, recorded by its cyclic factors.
 
-    Attributes
-    ----------
-    order : int
-        Number of elements.
-    compose_table : ``(order, order)`` ndarray of int
-        ``compose_table[a, b]`` is the id of ``a * b``.
-    inverse_table : ``(order,)`` ndarray of int
-        Id of the inverse of each element.
-    factors : tuple of int
-        Orders of the cyclic factors ``C_n``, most significant first; element
-        ids are mixed-radix numbers in these factors.  They name the group
-        (:attr:`descriptor`) and fix its irrep table (:func:`irreps_real`).
+    ``factors`` are the orders of the cyclic factors ``C_n``, most
+    significant first; element ids are mixed-radix numbers in them
+    (:func:`_digits`).  They name the group (:attr:`descriptor`) and fix its
+    irrep table (:func:`irreps_real`).  Derived from them at construction,
+    read-only: ``order``, ``compose_table`` (``(order, order)`` ints,
+    ``compose_table[a, b]`` the id of ``a * b``) and ``inverse_table``
+    (``(order,)``, the id of each element's inverse).
     """
 
-    order: int
-    compose_table: np.ndarray
-    inverse_table: np.ndarray
     factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "compose_table", frozen_array(self.compose_table, np.intp))
-        object.__setattr__(self, "inverse_table", frozen_array(self.inverse_table, np.intp))
+        factors = tuple(int(n) for n in self.factors)
+        if min(factors, default=1) < 1:
+            raise ValueError(f"cyclic group order must be >= 1, got {min(factors)}")
+        radix, digits = np.array(factors, dtype=np.intp), _digits(factors)
+        place = len(digits) // np.cumprod(radix)  # the id step of each digit
+        table = (digits[:, None] + digits) % radix @ place  # digitwise addition
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "order", len(digits))
+        object.__setattr__(self, "compose_table", frozen_array(table, np.intp))
+        object.__setattr__(self, "inverse_table", frozen_array(-digits % radix @ place, np.intp))
 
     def inverse(self, a: int) -> int:
         return int(self.inverse_table[a])
@@ -83,11 +78,7 @@ class FiniteGroup:
         return "x".join(f"C{n}" for n in self.factors)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteGroup)
-            and self.order == other.order
-            and np.array_equal(self.compose_table, other.compose_table)
-        )
+        return isinstance(other, FiniteGroup) and np.array_equal(self.compose_table, other.compose_table)
 
     def __hash__(self):
         return hash((self.order, self.compose_table.tobytes()))
@@ -96,14 +87,25 @@ class FiniteGroup:
         return f"FiniteGroup({self.descriptor}, order={self.order})"
 
 
+def _digits(factors) -> np.ndarray:
+    """The element numbering: row ``g`` holds id ``g``'s mixed-radix digits, most significant first."""
+    digits = np.zeros((math.prod(factors), len(factors)), dtype=np.intp)
+    rem = np.arange(len(digits))
+    for pos in range(len(factors) - 1, -1, -1):
+        rem, digits[:, pos] = np.divmod(rem, factors[pos])
+    return digits
+
+
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group ``C_n`` whose ``compose_table[i, j]`` is ``(i + j) mod n``."""
-    if n < 1:
-        raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    ids = np.arange(n)
-    table = (ids[:, None] + ids[None, :]) % n
-    inverse = (-ids) % n
-    return FiniteGroup(n, table, inverse, (int(n),))
+    return FiniteGroup((n,))
+
+
+def _product(factors: tuple, max_order: int) -> FiniteGroup:
+    order = math.prod(factors)
+    if order > max_order:
+        raise ValueError(f"product order {order} exceeds the configured maximum {max_order}")
+    return FiniteGroup(factors)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
@@ -112,17 +114,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, max_order: int = MAX_GROUP_OR
     Element ids follow ``id = id_a * |b| + id_b``.  Raises ``ValueError``
     once the combined order exceeds ``max_order``.
     """
-    order = a.order * b.order
-    if order > max_order:
-        raise ValueError(
-            f"product order {order} exceeds the configured maximum {max_order}"
-        )
-    ia, ib = np.divmod(np.arange(order), b.order)
-    ca = a.compose_table[np.ix_(ia, ia)]
-    cb = b.compose_table[np.ix_(ib, ib)]
-    table = ca * b.order + cb
-    inverse = a.inverse_table[ia] * b.order + b.inverse_table[ib]
-    return FiniteGroup(order, table, inverse, a.factors + b.factors)
+    return _product(a.factors + b.factors, max_order)
 
 
 _FACTOR_RE = re.compile(r"^C(\d+)$")
@@ -144,10 +136,7 @@ def group_from_descriptor(text: str, max_order: int = MAX_GROUP_ORDER) -> Finite
         if m is None:
             raise ValueError(f"bad group descriptor {text!r}: token {token!r}")
         factors.append(int(m.group(1)))
-    group = make_cyclic(factors[0])
-    for n in factors[1:]:
-        group = direct_product(group, make_cyclic(n), max_order=max_order)
-    return group
+    return make_cyclic(factors[0]) if len(factors) == 1 else _product(tuple(factors), max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +272,9 @@ def _element_angle_table(group: FiniteGroup) -> tuple[np.ndarray, int]:
     ``den`` the group exponent.
     """
     factors = group.factors
-    if math.prod(factors) != group.order:
-        raise UnsupportedGroupError("cyclic factors do not match the group order")
     den = reduce(math.lcm, factors, 1)
-    # Mixed-radix digits of each element id, most significant factor first;
-    # dual tuples enumerate the same space, so one table serves both sides.
-    digits = np.zeros((group.order, len(factors)), dtype=np.intp)
-    rem = np.arange(group.order)
-    for pos in range(len(factors) - 1, -1, -1):
-        rem, digits[:, pos] = np.divmod(rem, factors[pos])
+    # Dual tuples enumerate the same digit space as the elements, so one table serves both sides.
+    digits = _digits(factors)
     weights = np.array([den // n for n in factors], dtype=np.intp)
     angles = (digits * weights) @ digits.T % den
     return angles, den

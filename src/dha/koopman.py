@@ -250,19 +250,18 @@ class KoopmanModel:
 
     ``params`` holds every fitted parameter, each layer's ``weight`` and
     ``bias`` (encoder, decoder) then the operator's ``theta`` or dense
-    ``k_matrix``; the layer arrays and a dense ``k_matrix`` view it.
+    ``k_matrix``; the layer arrays and a dense ``k_matrix`` view it.  The
+    operator fixes :attr:`latent_dim` and, in ``k_map.basis.iso``, the
+    isotypic basis of ``eedmd``'s features or ``edae``'s latents.
     """
 
     variant: str
     rep_x: Representation
-    latent_dim: int
     k_matrix: np.ndarray
     observable: str = "identity"
     encoder: Network | None = None
     decoder: Network | None = None
     k_map: EquivariantLinearMap | None = None
-    latent_iso: IsotypicBasis | None = None
-    feature_iso: IsotypicBasis | None = None
     config: TrainConfig | None = None
     training_report: dict | None = None
     params: np.ndarray = field(init=False, repr=False, compare=False)
@@ -285,12 +284,21 @@ class KoopmanModel:
             net._version += 1
         if self.k_map is not None:
             self.k_map = EquivariantLinearMap(self.k_map.basis, self.params[self._n_net:])
-            k, iso = assemble(self.k_map), self.feature_iso
-            self.k_matrix = k if iso is None else iso.q.T @ k @ iso.q
+            k, q = assemble(self.k_map), self.k_map.basis.iso.q
+            self.k_matrix = q.T @ k @ q if self.variant == "eedmd" else k
 
     @property
     def state_dim(self) -> int:
         return self.rep_x.dim
+
+    @property
+    def latent_dim(self) -> int:
+        return self.k_matrix.shape[0]
+
+    @property
+    def latent_iso(self) -> IsotypicBasis | None:
+        """``edae``'s latent isotypic basis, whose coordinates its encoder outputs; else ``None``."""
+        return self.k_map.basis.iso if self.variant == "edae" else None
 
     @property
     def spectral_radius(self) -> float:
@@ -423,35 +431,33 @@ def _new_model(variant, rep_x, config, rng) -> KoopmanModel:
     """
     group, m = rep_x.group, rep_x.dim
     _check_variant(variant, group.order, config)
-    encoder = decoder = latent_iso = feature_iso = None
+    encoder = decoder = iso = None
     if variant in ("edmd", "eedmd"):
         observable = config.observable
         L = _features(np.zeros(m), observable).shape[-1]
         if variant == "eedmd":
-            feature_iso = isotypic_basis(_feature_rep(rep_x, observable))
+            iso = isotypic_basis(_feature_rep(rep_x, observable))
     else:
         observable, L = "identity", config.latent_dim
         width = config.width or default_hidden_width(group.order, m)
         hidden = [width] * config.hidden_layers
         if variant == "edae":
             latent_rep = regular_rep_copies(group, L, "Z")
-            latent_iso = isotypic_basis(latent_rep)
-            encoder = equivariant_net(rep_x, hidden, latent_rep, rng, output_transform=latent_iso.q)
+            iso = isotypic_basis(latent_rep)
+            encoder = equivariant_net(rep_x, hidden, latent_rep, rng, output_transform=iso.q)
             if config.decoder_equivariant:
-                decoder = equivariant_net(latent_rep, hidden, rep_x, rng, input_transform=latent_iso.q.T)
+                decoder = equivariant_net(latent_rep, hidden, rep_x, rng, input_transform=iso.q.T)
             else:
                 decoder = dense_net([L] + hidden + [m], rng)
         else:
             encoder = dense_net([m] + hidden + [L], rng)
             decoder = dense_net([L] + hidden + [m], rng)
     k, k_map = np.eye(L), None
-    iso = latent_iso if latent_iso is not None else feature_iso
     if iso is not None:
         cbasis = commutant_basis(iso)
         k_map = EquivariantLinearMap(cbasis, coordinates(k, cbasis))
-    return KoopmanModel(variant, rep_x, L, k, observable=observable, encoder=encoder,
-                        decoder=decoder, k_map=k_map, latent_iso=latent_iso,
-                        feature_iso=feature_iso, config=config)
+    return KoopmanModel(variant, rep_x, k, observable=observable, encoder=encoder,
+                        decoder=decoder, k_map=k_map, config=config)
 
 
 def _fit_closed_form(model: KoopmanModel, dataset: TrajectoryDataset) -> KoopmanModel:
@@ -462,7 +468,7 @@ def _fit_closed_form(model: KoopmanModel, dataset: TrajectoryDataset) -> Koopman
     if model.k_map is None:
         model.k_matrix[...] = edmd_fit(fx, fy, config.ridge)
     else:
-        model.params[:] = eedmd_fit(fx, fy, model.feature_iso, config.ridge).theta
+        model.params[:] = eedmd_fit(fx, fy, model.k_map.basis.iso, config.ridge).theta
     model._sync_params()
     resid = np.matmul(model.k_matrix, fx)  # (fy - K fx) ** 2, formed in place
     np.subtract(fy, resid, out=resid)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,6 @@ class SymmetricLinearSystem:
     sigma: float
     constraint_rows: np.ndarray
     constraint_offsets: np.ndarray
-    spectral_radius_target: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", frozen_array(self.a))
@@ -157,7 +156,7 @@ def random_symmetric_stable_system(
                 offsets.append(off)
     C = np.array(rows) if rows else np.zeros((0, m))
     c = np.array(offsets) if offsets else np.zeros(0)
-    system = SymmetricLinearSystem(a, rep_x, float(sigma), C, c, float(spectral_radius))
+    system = SymmetricLinearSystem(a, rep_x, float(sigma), C, c)
     assert equivariance_residual(system.a, rep_x) <= 1e-10
     assert abs(system.spectral_radius() - spectral_radius) <= 1e-8
     return system
@@ -327,7 +326,9 @@ class TrajectoryDataset:
 
     ``trajectories`` has shape ``(n, horizon + 1, dim)``; ``splits`` must hold
     one of ``train``/``val``/``test`` per trajectory and ``rep_x`` must act
-    on ``dim`` coordinates (else ``ValueError``).
+    on ``dim`` coordinates (else ``ValueError``).  A read-only C-ordered
+    float64 ndarray that owns its data is kept; anything else is copied by
+    :func:`~dha._util.frozen_array`, never frozen in place.
     """
 
     trajectories: np.ndarray
@@ -337,24 +338,10 @@ class TrajectoryDataset:
     provenance: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "trajectories", frozen_array(self.trajectories))
-        self._check()
-
-    @classmethod
-    def _adopt(cls, trajectories: np.ndarray, *rest) -> TrajectoryDataset:
-        """A dataset over ``trajectories`` frozen in place, not copied.
-
-        Only for a C-ordered float64 array this module built and hands
-        over, which no caller holds; the constructor copies every other one.
-        """
-        trajectories.setflags(write=False)
-        ds = object.__new__(cls)
-        for field, value in zip(fields(cls), (trajectories, *rest)):
-            object.__setattr__(ds, field.name, value)
-        ds._check()
-        return ds
-
-    def _check(self):
+        t = self.trajectories
+        if not (type(t) is np.ndarray and t.dtype == np.float64 and t.flags.c_contiguous
+                and t.flags.owndata and not t.flags.writeable):
+            object.__setattr__(self, "trajectories", frozen_array(t))
         _check_split_tags(self.splits)
         if len(self.splits) != self.n_trajectories:
             raise ValueError(f"{len(self.splits)} split tags for {self.n_trajectories} trajectories")
@@ -442,7 +429,8 @@ def generate_dataset(
         "n_test": n_test,
         "horizon": horizon,
     }
-    return TrajectoryDataset._adopt(trajs, tuple(splits), system.rep_x, 1.0, provenance)
+    trajs.setflags(write=False)
+    return TrajectoryDataset(trajs, tuple(splits), system.rep_x, 1.0, provenance)
 
 
 def _init_bounds(init_box, m: int) -> tuple:
@@ -496,7 +484,24 @@ def rep_from_descriptor(desc: dict) -> Representation:
         raise ValueError(f"rep_x.kind must be 'regular_copies' or 'explicit', got {kind!r:.40}")
     dim = typed(desc["dim"], int, "rep_x.dim")
     mats = decode_f64(typed(desc["matrices"], str, "rep_x.matrices"), (group.order, dim, dim))
+    _check_explicit_rep(mats, group)
     return Representation(group, mats, "X")
+
+
+def _check_explicit_rep(mats: np.ndarray, group: FiniteGroup, tol: float = 1e-9):
+    """``ValueError`` naming ``rep_x.matrices`` unless they are finite and ``rho(0) = I``,
+    ``rho(g)^T rho(g) = I`` and ``rho(a) rho(b) = rho(ab)`` hold entrywise to ``tol``."""
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("rep_x.matrices holds non-finite entries")
+    eye = np.eye(mats.shape[1])
+    products = (a @ mats - mats[ab] for a, ab in zip(mats, group.compose_table))  # formed last, if at all
+    for law, gaps in (("rho(0) = I", [mats[0] - eye]),
+                      ("rho(g)^T rho(g) = I", np.matmul(mats.transpose(0, 2, 1), mats) - eye),
+                      ("rho(a) rho(b) = rho(ab)", products)):
+        worst = max(float(np.max(np.abs(gap), initial=0.0)) for gap in gaps)
+        if worst > tol:
+            raise ValueError(f"rep_x.matrices is not an orthogonal representation of {group.descriptor}: "
+                             f"{law} fails by {worst:.3g}")
 
 
 #: Values per formatting chunk in :func:`save_dataset` (whole trajectories, at least one).
@@ -596,8 +601,8 @@ def _read_dataset(directory: Path, manifest: dict, rep, splits, dt) -> Trajector
             raise ValueError(f"{name}: {values.shape[0]} rows of {values.shape[1]} columns, "
                              f"expected {horizon + 1} rows of dim + 1 = {dim + 1}")
         trajs[i] = values[:, 1:]
-    return TrajectoryDataset._adopt(trajs, tuple(splits), rep, float(dt),
-                                    manifest.get("provenance", {}))
+    trajs.setflags(write=False)
+    return TrajectoryDataset(trajs, tuple(splits), rep, float(dt), manifest.get("provenance", {}))
 
 
 def _read_manifest(directory: Path) -> dict:

@@ -71,3 +71,24 @@ def eigenvector_orbit_residual(k, rep, vals, vecs):
             gv = rep.matrices[g] @ v
             worst = max(worst, float(np.linalg.norm(k @ gv - lam * gv)) / nv)
     return worst
+
+
+def cyclic_product_tables(factors):
+    """``(compose_table, inverse_table)`` of ``C_{n_1} x C_{n_2} x ...`` built factor by factor.
+
+    ``C_n`` composes as ``(i + j) mod n``; the product of ``a`` and ``b``
+    numbers its elements ``id = id_a * |b| + id_b`` and composes
+    componentwise.  This is the construction the groups were built by
+    before they derived their tables from the factors' digits.
+    """
+    def cyclic(n):
+        ids = np.arange(n)
+        return (ids[:, None] + ids[None, :]) % n, (-ids) % n
+
+    table, inverse = cyclic(factors[0])
+    for n in factors[1:]:
+        tb, invb = cyclic(n)
+        ia, ib = np.divmod(np.arange(len(inverse) * n), n)
+        table = table[np.ix_(ia, ia)] * n + tb[np.ix_(ib, ib)]
+        inverse = inverse[ia] * n + invb[ib]
+    return table, inverse

@@ -211,7 +211,7 @@ def test_decoupled_block_stays_empty_under_rollout():
     blk = basis.blocks[1]
     k_iso[blk.slice, blk.slice] = 0.0
     a = basis.q.T @ k_iso @ basis.q
-    sys0 = SymmetricLinearSystem(a, rep, 0.0, np.zeros((0, 4)), np.zeros(0), 0.9)
+    sys0 = SymmetricLinearSystem(a, rep, 0.0, np.zeros((0, 4)), np.zeros(0))
     x0 = basis.q.T @ np.concatenate([rng.standard_normal(blk.offset), np.zeros(blk.size)])
     traj = rollout(sys0, x0, 30)
     energy = isotypic_energy(traj, basis)
@@ -276,7 +276,7 @@ def test_zero_model_error_equals_signal_energy():
     rep = regular_rep_copies(g, 2)
     sys0 = random_symmetric_stable_system(g, rep, 0.9, sigma=0.0, seed=6)
     ds = generate_dataset(sys0, n_train=2, n_test=5, horizon=12, seed=7)
-    model = KoopmanModel("edmd", rep, 2, np.zeros((2, 2)))
+    model = KoopmanModel("edmd", rep, np.zeros((2, 2)))
     report = prediction_mse(model, ds, horizon=8)
     test = ds.split("test")
     want = np.mean([np.sum(t[1:9] ** 2) for t in test])

@@ -209,7 +209,9 @@ MANIFEST_CASES = {"null_n_trajectories": ("n_trajectories", None), "number_split
                   "unknown_split_tag": ("splits", ["train", "bogus", 7, None]),
                   "huge_n_trajectories": ("n_trajectories", 10**12), "huge_horizon": ("horizon", 10**12),
                   "huge_dim": ("dim", 10**12),
-                  "rep_x_dim": ("rep_x", {"group": "C2", "kind": "regular_copies", "copies": 3})}
+                  "rep_x_dim": ("rep_x", {"group": "C2", "kind": "regular_copies", "copies": 3}),
+                  "explicit_not_a_rep": ("rep_x", {"group": "C2", "kind": "explicit", "dim": 4,
+                                                   "matrices": encode_f64(np.stack([np.eye(4), 2 * np.eye(4)]))})}
 
 
 def _corrupt(data_dir, case):
@@ -274,6 +276,7 @@ def _corrupt(data_dir, case):
      ("huge_horizon", 2, "expected horizon + 1 = 1000000000001"),
      ("huge_dim", 2, "the first row does not hold dim + 1 = 1000000000001 values"),
      ("rep_x_dim", 2, "rep_x acts on dimension 6, the trajectories have dimension 4"),
+     ("explicit_not_a_rep", 2, "rep_x.matrices is not an orthogonal representation of C2"),
      ("cut_last_value", 2, "traj_00001.csv")],
 )
 def test_corrupt_dataset_exit_codes(tmp_path, capsys, case, code, message):
@@ -322,6 +325,9 @@ def _corrupt_checkpoint(doc, case):
         header["rep_x"]["kind"] = "regular"
     elif case == "wrong_k_kind":
         doc["k_payload"]["kind"] = "dense"
+    elif case == "explicit_not_a_rep":
+        header["rep_x"] = {"group": "C3", "kind": "explicit", "dim": 6,
+                           "matrices": encode_f64(np.stack([np.eye(6), 2 * np.eye(6), np.eye(6)]))}
     elif case == "list_document":
         return [1, 2]
     return doc
@@ -335,7 +341,8 @@ def _corrupt_checkpoint(doc, case):
      ("short_net_params", "payload does not match"), ("string_seed", "seed"),
      ("string_width", "width"), ("string_rep_x", "rep_x"), ("list_header", "header"),
      ("number_k_data", "k_payload.data"), ("list_document", "checkpoint"),
-     ("regular_kind", "rep_x.kind"), ("wrong_k_kind", "k_payload.kind 'dense'")],
+     ("regular_kind", "rep_x.kind"), ("wrong_k_kind", "k_payload.kind 'dense'"),
+     ("explicit_not_a_rep", "rep_x.matrices is not an orthogonal representation of C3")],
 )
 def test_corrupt_checkpoint_exit_codes(tmp_path, capsys, case, message):
     doc = _corrupt_checkpoint(json.loads(CHECKPOINT.read_text()), case)
@@ -485,3 +492,48 @@ def test_sweep_leaves_config_untouched(tmp_path):
     before = json.dumps(cfg)
     cmd_sweep(cfg, "latent_dim", [2], workers=1)
     assert json.dumps(cfg) == before
+
+
+def test_explicit_non_representation_stops_fit_and_eval(tmp_path, capsys):
+    path = write_config(tmp_path, variants=["edmd", "dae_aug"])
+    data_dir = cmd_synth(load_config(path))
+    model = cmd_fit(load_config(path), data_dir, tmp_path / "models") / "model_edmd_seed0.json"
+    _corrupt(data_dir, "explicit_not_a_rep")
+    assert main(["fit", str(path), str(data_dir), "--out", str(tmp_path / "refit")]) == 2
+    assert main(["eval", str(model), str(data_dir), "--out", str(tmp_path / "ev")]) == 2
+    assert capsys.readouterr().err.count("rep_x.matrices is not an orthogonal representation") == 2
+
+
+# Sizes whose first allocation needs far more than 2**47 bytes, which no
+# allocator can provide under any overcommit policy: ``latent_dim`` first sizes
+# a (10**15, 16) float64 weight (1.3e17 bytes), ``state_dim`` a bool mask of
+# 2 * 10**17 bytes.
+@pytest.mark.parametrize("command, flag", [("fit", "training.latent_dim=1000000000000000"),
+                                           ("synth", "state_dim=200000000000000000")])
+def test_out_of_memory_exits_2(tmp_path, capsys, command, flag):
+    path = write_config(tmp_path, variants=["dae"])
+    argv = [command, str(path), "--set", flag, "--out", str(tmp_path / "out2")]
+    if command == "fit":
+        argv.insert(2, str(cmd_synth(load_config(path))))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the run ran out of memory")
+
+
+def test_sweep_with_two_workers_matches_one(tmp_path):
+    cfg = load_config(write_config(tmp_path, variants=["edmd", "eedmd"]))
+    one = cmd_sweep(cfg, "samples", [30, 60], out_dir=tmp_path / "w1", workers=1)
+    two = cmd_sweep(cfg, "samples", [30, 60], out_dir=tmp_path / "w2", workers=2)
+    assert len(list(two.glob("point_*"))) == 2
+    assert tree_hash(one) == tree_hash(two)
+
+
+def test_spectra_of_a_dense_operator(tmp_path):
+    cfg = load_config(write_config(tmp_path, variants=["edmd"]))
+    data_dir = cmd_synth(cfg)
+    model = cmd_fit(cfg, data_dir) / "model_edmd_seed0.json"
+    assert main(["spectra", str(model), "--out", str(tmp_path / "sp")]) == 0
+    spec = json.loads((tmp_path / "sp" / "spectrum_edmd_seed0.json").read_text())
+    assert [b["label"] for b in spec["blocks"]] == ["dense"]
+    rows = (tmp_path / "sp" / "spectrum_edmd_seed0.csv").read_text().splitlines()
+    assert rows[0] == "block,re,im" and len(rows) == 1 + 4

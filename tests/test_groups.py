@@ -1,7 +1,12 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from dha.groups import (
+    FiniteGroup,
     direct_product,
     group_from_descriptor,
     irreps_real,
@@ -13,7 +18,7 @@ from dha.groups import (
     symmetric_square_rep,
 )
 from dha.isotypic import character_projector
-from rep_oracles import check_associativity, validate_representation
+from rep_oracles import check_associativity, cyclic_product_tables, validate_representation
 from rep_oracles import projector_rank as _projector_rank
 
 from conftest import ABELIAN_GROUPS_LE_16
@@ -107,6 +112,51 @@ def test_group_tables_are_latin_squares_and_associative(desc):
     for a in range(g.order):
         assert g.compose_table[0, a] == a == g.compose_table[a, 0]
         assert g.compose_table[a, g.inverse(a)] == 0
+
+
+#: Every tuple of at most 4 factors from C1-C6 and C8 with order <= 64.
+FACTOR_TUPLES = [t for k in range(1, 5) for t in itertools.product((1, 2, 3, 4, 5, 6, 8), repeat=k)
+                 if math.prod(t) <= 64]
+
+
+def _assert_tables_match_oracle(group, factors):
+    table, inverse = cyclic_product_tables(factors)
+    assert group.order == len(inverse)
+    for derived, oracle in ((group.compose_table, table), (group.inverse_table, inverse)):
+        assert derived.dtype == np.intp and derived.flags.c_contiguous and not derived.flags.writeable
+        assert np.array_equal(derived, oracle)
+
+
+def test_derived_tables_match_the_factorwise_construction():
+    assert len(FACTOR_TUPLES) == 950
+    for factors in FACTOR_TUPLES:
+        group = group_from_descriptor("x".join(f"C{n}" for n in factors))
+        assert group.factors == factors
+        _assert_tables_match_oracle(group, factors)
+
+
+@pytest.mark.parametrize("desc", ABELIAN_GROUPS_LE_16)
+def test_derived_tables_match_oracle_on_abelian_groups(desc):
+    group = group_from_descriptor(desc)
+    _assert_tables_match_oracle(group, group.factors)
+    assert FiniteGroup(group.factors) == group
+
+
+def test_a_group_is_recorded_by_its_factors_alone():
+    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["factors"]
+    group = FiniteGroup((2, 3))
+    assert group == direct_product(make_cyclic(2), make_cyclic(3))
+    for name in ("factors", "order", "compose_table", "inverse_table"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(group, name, None)
+    with pytest.raises(ValueError, match="cyclic group order must be >= 1, got 0"):
+        FiniteGroup((2, 0))
+
+
+def test_descriptor_product_cap():
+    with pytest.raises(ValueError, match="product order 128 exceeds the configured maximum 64"):
+        group_from_descriptor("C16xC8")
+    assert group_from_descriptor("C16xC8", max_order=128).order == 128
 
 
 # ---------------------------------------------------------------------------

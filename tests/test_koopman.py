@@ -42,7 +42,7 @@ def identity_model(k):
     enc = Network([Layer("identity", weight=np.eye(m), bias=np.zeros(m))])
     dec = Network([Layer("identity", weight=np.eye(m), bias=np.zeros(m))])
     rep = regular_rep_copies(make_cyclic(1), m, "X")
-    return KoopmanModel("dae", rep, m, k, encoder=enc, decoder=dec)
+    return KoopmanModel("dae", rep, k, encoder=enc, decoder=dec)
 
 
 def dae_loss(model, window, gamma=None):
@@ -545,3 +545,49 @@ def test_dae_loss_applies_to_closed_form_variants():
     loss, recon, latent = dae_loss(model, ds.trajectories[0, :5], gamma=1.0)
     assert loss <= 1e-12  # exact operator, identity observables
     assert recon <= 1e-12 and latent <= 1e-12
+
+
+def test_training_stops_after_patience_stale_epochs():
+    _, ds = make_dataset(desc="C2", m=4, sigma=0.01, horizon=15)
+    model = train("dae", ds, TrainConfig(latent_dim=4, horizon=3, epochs=10, lr=0, patience=1, seed=0))
+    report = model.training_report
+    assert len(report["metrics"]) == 3 and report["best_epoch"] == 0
+    assert len({row["val_loss"] for row in report["metrics"]}) == 1
+
+
+def test_single_training_trajectory_validates_on_the_training_loss():
+    _, ds = make_dataset(desc="C2", m=4, sigma=0.01, n_train=1, horizon=15)
+    assert "val" not in ds.splits
+    model = train("dae", ds, TrainConfig(latent_dim=4, horizon=3, epochs=3, seed=0))
+    for row in model.training_report["metrics"]:
+        assert row["val_loss"] == row["train_loss"]
+
+
+def test_edae_with_dense_decoder(tmp_path):
+    from dha.nets import net_equivariance_residual
+
+    system, ds = make_dataset(desc="C2", m=4, sigma=0.01, horizon=15)
+    model = train("edae", ds, TrainConfig(latent_dim=8, horizon=3, epochs=2, seed=1, decoder_equivariant=False))
+    assert model.decoder.layers[0].table is None and model.encoder.layers[0].table is not None
+    assert net_equivariance_residual(model.encoder, system.rep_x, model.latent_iso.rotated_rep(), seed=2) <= 1e-9
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert np.array_equal(loaded.params, model.params)
+    x0 = ds.trajectories[:2, 0]
+    assert np.array_equal(predict_batch(loaded, x0, 4), predict_batch(model, x0, 4))
+
+
+@pytest.mark.parametrize("variant", ["edmd", "eedmd", "dae", "edae"])
+def test_operator_fixes_latent_size_and_basis(variant):
+    _, ds = make_dataset(desc="C2", m=4, sigma=0.01, horizon=15)
+    model = train(variant, ds, TrainConfig(latent_dim=8, horizon=3, epochs=1, seed=0, observable="poly2"))
+    assert model.latent_dim == model.k_matrix.shape[0] == (14 if variant in ("edmd", "eedmd") else 8)
+    if variant == "edae":
+        assert model.latent_iso is model.k_map.basis.iso and model.latent_iso.dim == 8
+        assert np.array_equal(model.encoder.output_transform, model.latent_iso.q)
+    else:
+        assert model.latent_iso is None
+    if variant == "eedmd":
+        q = model.k_map.basis.iso.q
+        assert np.array_equal(model.k_matrix, q.T @ assemble(model.k_map) @ q)

@@ -132,6 +132,38 @@ def test_equivariant_bias_is_group_fixed():
             assert np.max(np.abs(out_rep.matrices[gg] @ b - b)) <= 1e-12
 
 
+def test_output_rep_without_trivial_component_has_no_bias():
+    from dha.groups import irreps_real, rep_direct_sum
+
+    rng = np.random.default_rng(4)
+    g = make_cyclic(2)
+    rep_in = regular_rep_copies(g, 4)
+    sign = irreps_real(g)[1].as_representation()
+    rep_out = rep_direct_sum([sign] * 3)
+    net = equivariant_net(rep_in, [4], rep_out, rng)
+    last = net.layers[-1]
+    assert last.bias.shape == (0,) and last.bias_basis.shape == (3, 0)
+    assert np.array_equal(last.bias_vector(), np.zeros(3))
+    assert net_equivariance_residual(net, rep_in, rep_out, seed=5) <= 1e-9
+    x = rng.standard_normal((5, 4))
+    t = rng.standard_normal((5, 3))
+
+    def loss_of(params):
+        net.set_parameters(params)
+        y, _ = net.forward(x)
+        return float(np.sum((y - t) ** 2))
+
+    params = [p.copy() for p in net.parameters()]
+    net.set_parameters(params)
+    y, cache = net.forward(x)
+    grads, dx = net.backward(cache, 2.0 * (y - t))
+    assert grads[-1].shape == (0,) and dx.shape == x.shape
+    for a, b in zip(grads, finite_difference_grads(loss_of, params)):
+        assert a.shape == b.shape
+        if a.size:
+            assert np.max(rel_err(a, b)) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # Backward
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_scalar_geometric_decay():
     g = make_cyclic(1)
     rep = regular_rep_copies(g, 2)
     a = 0.5 * np.eye(2)
-    sys0 = SymmetricLinearSystem(a, rep, 0.0, np.zeros((0, 2)), np.zeros(0), 0.5)
+    sys0 = SymmetricLinearSystem(a, rep, 0.0, np.zeros((0, 2)), np.zeros(0))
     x0 = np.array([1.0, -2.0])
     traj = rollout(sys0, x0, 10)
     for t in range(11):
@@ -143,7 +143,7 @@ def test_infeasible_initial_state_rejected():
     rep = regular_rep_copies(g, 2)
     C = np.array([[1.0, 0.0], [0.0, 1.0]])
     c = np.array([0.0, 0.0])
-    sys0 = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, C, c, 0.5)
+    sys0 = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, C, c)
     with pytest.raises(InfeasibilityError):
         rollout(sys0, np.array([-1.0, -1.0]), 3)
 
@@ -155,7 +155,7 @@ def test_constraint_projection_restores_feasibility():
     C = np.eye(2)
     c = np.array([-0.2, -0.2])
     a = np.array([[0.0, 0.9], [0.9, 0.0]])  # equivariant swap-scaled dynamics
-    sys0 = SymmetricLinearSystem(a, rep, 0.0, C, c, 0.9)
+    sys0 = SymmetricLinearSystem(a, rep, 0.0, C, c)
     traj = rollout(sys0, np.array([1.0, -0.2]), 20)
     assert np.all(traj @ C.T >= c - 1e-9)
 
@@ -266,7 +266,7 @@ def test_infeasible_box_raises():
     # Both rows demand x_i >= 2, impossible inside [-1, 1]^2.
     C = np.eye(2)
     c = np.array([2.0, 2.0])
-    sys0 = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, C, c, 0.5)
+    sys0 = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, C, c)
     with pytest.raises(InfeasibilityError, match="feasible"):
         generate_dataset(sys0, n_train=2, n_test=0, horizon=3, seed=0)
 
@@ -285,7 +285,7 @@ def test_thin_feasible_set_found_in_halved_box():
 def test_infeasible_box_error_names_last_box():
     g = make_cyclic(2)
     rep = regular_rep_copies(g, 2)
-    sys0 = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, np.eye(2), np.array([2.0, 2.0]), 0.5)
+    sys0 = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, np.eye(2), np.array([2.0, 2.0]))
     with pytest.raises(InfeasibilityError, match=r"halved .* 8 times .*0\.0039"):
         generate_dataset(sys0, n_train=1, n_test=0, horizon=3, init_box=1.0, seed=0)
 
@@ -393,3 +393,91 @@ def test_explicit_rep_descriptor_roundtrip():
     assert np.array_equal(back.matrices, scrambled.matrices)
     reg_desc = rep_descriptor(regular_rep_copies(g, 6))
     assert reg_desc == {"group": "C3", "kind": "regular_copies", "copies": 2}
+
+
+def test_constraints_closed_detects_a_missing_image():
+    rep = regular_rep_copies(make_cyclic(2), 2)
+    one_row = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, np.array([[1.0, 0.0]]), np.array([-1.0]))
+    assert not one_row.constraints_closed()
+    closed = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, np.eye(2), np.array([-1.0, -1.0]))
+    assert closed.constraints_closed()
+    shifted = SymmetricLinearSystem(0.5 * np.eye(2), rep, 0.0, np.eye(2), np.array([-1.0, -2.0]))
+    assert not shifted.constraints_closed()
+
+
+def test_datasets_keep_what_the_loader_built_and_copy_the_callers(tmp_path, monkeypatch):
+    import dha.systems
+
+    sys0 = random_symmetric_stable_system(make_cyclic(2), regular_rep_copies(make_cyclic(2), 4),
+                                          0.9, sigma=0.01, seed=0)
+    ds = generate_dataset(sys0, n_train=3, n_test=2, horizon=5, seed=1)
+    save_dataset(ds, tmp_path)
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("the dataset copied its trajectories")
+
+    monkeypatch.setattr(dha.systems, "frozen_array", no_copy)
+    built = [generate_dataset(sys0, n_train=3, n_test=2, horizon=5, seed=1), load_dataset(tmp_path),
+             import_trajectories(tmp_path, sys0.rep_x)]
+    for d in built:
+        assert not d.trajectories.flags.writeable and d.trajectories.flags.owndata
+        assert np.array_equal(d.trajectories, ds.trajectories)
+    kept = TrajectoryDataset(ds.trajectories, ds.splits, ds.rep_x, ds.dt, ds.provenance)
+    assert kept.trajectories is ds.trajectories
+    monkeypatch.undo()
+
+    mine = np.array(ds.trajectories)
+    copied = TrajectoryDataset(mine, ds.splits, ds.rep_x, ds.dt, ds.provenance)
+    assert mine.flags.writeable and not np.shares_memory(mine, copied.trajectories)
+    assert not copied.trajectories.flags.writeable
+    frozen_view = mine[:]
+    frozen_view.setflags(write=False)
+    viewed = TrajectoryDataset(frozen_view, ds.splits, ds.rep_x, ds.dt, ds.provenance)
+    assert not np.shares_memory(mine, viewed.trajectories)
+    fortran = np.asfortranarray(ds.trajectories)
+    fortran.setflags(write=False)
+    assert TrajectoryDataset(fortran, ds.splits, ds.rep_x, ds.dt, ds.provenance).trajectories.flags.c_contiguous
+
+
+def _explicit_descriptor(group_desc, mats):
+    from dha._util import encode_f64
+
+    mats = np.asarray(mats, dtype=np.float64)
+    return {"group": group_desc, "kind": "explicit", "dim": mats.shape[1], "matrices": encode_f64(mats)}
+
+
+@pytest.mark.parametrize(
+    "group_desc, mats, message",
+    [("C2", [np.eye(4), 2 * np.eye(4)], r"rho\(g\)\^T rho\(g\) = I fails by 3"),
+     ("C2", [np.eye(2), np.full((2, 2), np.nan)], "non-finite"),
+     ("C2", [-np.eye(2), np.eye(2)], r"rho\(0\) = I fails by 2"),
+     ("C3", [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+      r"rho\(a\) rho\(b\) = rho\(ab\) fails by 1")],
+)
+def test_explicit_rep_must_be_a_representation(tmp_path, group_desc, mats, message):
+    from dha.systems import rep_from_descriptor
+
+    desc = _explicit_descriptor(group_desc, mats)
+    with pytest.raises(ValueError, match=f"^rep_x.matrices .*{message}"):
+        rep_from_descriptor(desc)
+
+
+def test_explicit_rep_is_checked_on_import(tmp_path):
+    sys0 = random_symmetric_stable_system(make_cyclic(2), regular_rep_copies(make_cyclic(2), 4),
+                                          0.9, sigma=0.01, seed=0)
+    save_dataset(generate_dataset(sys0, n_train=2, n_test=1, horizon=4, seed=1), tmp_path)
+    with pytest.raises(ValueError, match="rep_x.matrices"):
+        import_trajectories(tmp_path, _explicit_descriptor("C2", [np.eye(4), 2 * np.eye(4)]))
+
+
+@pytest.mark.parametrize("desc", ["C3", "C2xC2", "C8"])
+def test_conjugated_regular_rep_loads(desc):
+    from conftest import random_orthogonal
+    from dha.groups import conjugate_representation
+    from dha.systems import rep_descriptor, rep_from_descriptor
+
+    g = group_from_descriptor(desc)
+    rep = conjugate_representation(regular_rep_copies(g, 2 * g.order),
+                                   random_orthogonal(np.random.default_rng(5), 2 * g.order))
+    back = rep_from_descriptor(rep_descriptor(rep))
+    assert np.array_equal(back.matrices, rep.matrices)
