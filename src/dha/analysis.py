@@ -73,8 +73,11 @@ def spectrum(operator) -> SpectrumReport:
     the conjugation error of the basis ``q`` is its
     ``tolerance_report["conjugation"]``.  Eigenvectors are zero-padded to
     the full dimension.  A dense matrix is treated as a single untagged block.
+    An operator that does not map a space to itself raises ``ValueError``.
     """
     if isinstance(operator, EquivariantLinearMap):
+        if operator.basis.iso_in is not operator.basis.iso:
+            raise ValueError("operator must map a space to itself")
         k = assemble(operator)
         labels, vals, vecs = [], [], []
         resid = 0.0

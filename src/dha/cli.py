@@ -347,7 +347,7 @@ def cmd_sweep(config: dict, axis: str, values, out_dir=None, workers: int | None
 
     Each value replaces the axis's setting in ``SWEEP_AXES`` (``samples``
     is ``training.max_windows``), and every point's config is validated
-    before any runs.  Each (value, seed) point runs in its own
+    before any runs; repeated values raise ``ValueError``.  Each (value, seed) point runs in its own
     subdirectory; aggregation is a deterministic post-pass writing a long
     CSV and a mean/min/max chart per variant.
     """
@@ -355,6 +355,8 @@ def cmd_sweep(config: dict, axis: str, values, out_dir=None, workers: int | None
         raise ValueError(f"--workers must be at least 1, got {workers}")
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {tuple(SWEEP_AXES)}")
+    if any(value in values[:i] for i, value in enumerate(values)):
+        raise ValueError(f"sweep values must be distinct, got {values}")
     points = [(value, _with_setting(config, SWEEP_AXES[axis], value)) for value in values]
     for _, point in points:
         validate_config(point)

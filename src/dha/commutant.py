@@ -7,14 +7,16 @@ two-generator algebra spanned by I and the quarter-turn J for
 rotation-type ones.  A map between two decomposed spaces is therefore a
 coefficient vector ``theta`` over Frobenius-orthonormal generators
 ``E_jk (x) S / sqrt(d)`` (output copy ``j``, input copy ``k``, stamp ``S``
-in ``I``, ``J``).  All generators live in one sparse table of their
-nonzeros in isotypic coordinates, so assembling a map is one scatter and
-reading its coordinates one gather.
+in ``I``, ``J``).  A :class:`CommutantBasis` is one such space of maps:
+its generators live in one sparse table of their nonzeros in isotypic
+coordinates, so assembling a map is one scatter and reading its
+coordinates one gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,90 +47,87 @@ def _stamps(irrep) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _GeneratorTable:
-    """Nonzeros of ``n`` orthonormal equivariant-map generators ``B_l``.
+class CommutantBasis:
+    """Frobenius-orthonormal basis of the equivariant maps from ``iso_in`` to ``iso``.
 
-    Generator ``gen[i]`` holds ``val[i]`` at flat position ``pos[i]`` of a
-    ``shape`` matrix in isotypic coordinates; no two share a position.
+    ``iso_in`` defaults to ``iso``: the commutant of that space.  Spaces of
+    different groups raise ``ValueError``.  Derived at construction,
+    read-only: the map ``shape`` ``(iso.dim, iso_in.dim)``; the generators'
+    nonzeros ``gen``, ``pos``, ``val`` in isotypic coordinates (generator
+    ``gen[i]`` holds ``val[i]`` at flat position ``pos[i]``, no two at one
+    position; numbered by ``iso`` block, output copy, input copy, then
+    stamp I, J), and ``block_slices``, each ``iso`` block's coordinate
+    range (empty where ``iso_in`` holds no copy of its irrep).
     """
 
-    gen: np.ndarray
-    pos: np.ndarray
-    val: np.ndarray
-    shape: tuple
-    n: int
+    iso: IsotypicBasis
+    iso_in: IsotypicBasis | None = None
+
+    def __post_init__(self):
+        iso_in = self.iso if self.iso_in is None else self.iso_in
+        if iso_in.group != self.iso.group:
+            raise ValueError("spaces carry different groups")
+        by_label = {blk.label: blk for blk in iso_in.blocks}
+        gen, pos, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+        slices, n = [], 0
+        for blk_out in self.iso.blocks:
+            blk_in, start = by_label.get(blk_out.label), n
+            if blk_in is not None:
+                stamps = _stamps(blk_in.irrep)
+                e, d = stamps.shape[:2]
+                s, r, c = np.nonzero(stamps)
+                pair = np.arange(blk_out.multiplicity * blk_in.multiplicity)[:, None]
+                j, k = np.divmod(pair, blk_in.multiplicity)
+                gen.append((n + pair * e + s).ravel())
+                pos.append(((blk_out.offset + j * d + r) * iso_in.dim + blk_in.offset + k * d + c).ravel())
+                val.append(np.tile(stamps[s, r, c], pair.size))
+                n += pair.size * e
+            slices.append(slice(start, n))
+        object.__setattr__(self, "iso_in", iso_in)
+        object.__setattr__(self, "shape", (self.iso.dim, iso_in.dim))
+        for name, parts in (("gen", gen), ("pos", pos), ("val", val)):
+            object.__setattr__(self, name, frozen_array(np.concatenate(parts), parts[0].dtype))
+        object.__setattr__(self, "block_slices", tuple(slices))
+        object.__setattr__(self, "_n", n)
+
+    def __len__(self):
+        return self._n
+
+    @property
+    def blocks(self) -> tuple:
+        """Block layout of the output space ``iso``."""
+        return self.iso.blocks
 
     def assemble(self, theta: np.ndarray) -> np.ndarray:
-        """``sum_l theta[..., l] B_l``; ``theta = I`` expands every generator."""
+        """``sum_l theta[..., l] B_l`` in isotypic coordinates; ``theta = I`` expands every generator."""
         out = np.zeros(theta.shape[:-1] + (self.shape[0] * self.shape[1],))
         out[..., self.pos] = theta[..., self.gen] * self.val
         return out.reshape(theta.shape[:-1] + self.shape)
 
     def coordinates(self, a: np.ndarray) -> np.ndarray:
-        return np.bincount(self.gen, a.reshape(-1)[self.pos] * self.val, minlength=self.n)
+        """Frobenius coordinates ``<A, B_l>`` of an isotypic-coordinate matrix."""
+        return np.bincount(self.gen, a.reshape(-1)[self.pos] * self.val, minlength=len(self))
 
+    def matrix(self, theta: np.ndarray) -> np.ndarray:
+        """:meth:`assemble` in the original bases of both spaces."""
+        return self.iso.q.T @ self.assemble(theta) @ self.iso_in.q
 
-def _generator_table(blocks_out, blocks_in) -> _GeneratorTable:
-    """Generators of the equivariant maps from ``blocks_in`` to ``blocks_out``.
+    def matrix_coordinates(self, a: np.ndarray) -> np.ndarray:
+        """:meth:`coordinates` of a matrix given in the original bases of both spaces."""
+        return self.coordinates(self.iso.q @ a @ self.iso_in.q.T)
 
-    Blocks pair by irrep label; generators are numbered by ``blocks_in``
-    block, output copy ``j``, input copy ``k``, then stamp (I, J).
-    """
-    dim_in = sum(blk.size for blk in blocks_in)
-    by_label = {blk.label: blk for blk in blocks_out}
-    gen, pos, val = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    n = 0
-    for blk_in in blocks_in:
-        blk_out = by_label.get(blk_in.label)
-        if blk_out is None:
-            continue
-        stamps = _stamps(blk_in.irrep)
-        e, d = stamps.shape[:2]
-        s, r, c = np.nonzero(stamps)
-        pair = np.arange(blk_out.multiplicity * blk_in.multiplicity)[:, None]
-        j, k = np.divmod(pair, blk_in.multiplicity)
-        gen.append((n + pair * e + s).ravel())
-        pos.append(((blk_out.offset + j * d + r) * dim_in + blk_in.offset + k * d + c).ravel())
-        val.append(np.tile(stamps[s, r, c], pair.size))
-        n += pair.size * e
-    shape = (sum(blk.size for blk in blocks_out), dim_in)
-    return _GeneratorTable(*(np.concatenate(a) for a in (gen, pos, val)), shape, n)
-
-
-@dataclass(frozen=True)
-class CommutantBasis:
-    """Frobenius-orthonormal basis of the commutant of a decomposed space.
-
-    Built by :func:`commutant_basis` from the space's isotypic basis alone;
-    the generators act in its isotypic coordinates.
-
-    Attributes
-    ----------
-    iso : IsotypicBasis
-        The decomposed space; :attr:`blocks` is read from it.
-    table : _GeneratorTable
-        The generators' nonzeros; each generator commutes with every group
-        matrix and is block-diagonal.
-    block_slices : tuple of slice
-        Coordinate range of each isotypic block's generators.
-    """
-
-    iso: IsotypicBasis
-    table: _GeneratorTable
-    block_slices: tuple
-
-    def __len__(self):
-        return self.table.n
-
-    @property
-    def blocks(self) -> tuple:
-        """Block layout of the decomposed space."""
-        return self.iso.blocks
+    @cached_property
+    def trivial_columns(self) -> np.ndarray:
+        """Orthonormal columns, in ``iso``'s original basis, spanning its trivial component."""
+        for blk in self.iso.blocks:
+            if blk.label == "triv":
+                return frozen_array(self.iso.q[blk.slice].T)
+        return np.zeros((self.iso.dim, 0))
 
     @property
     def basis_matrices(self) -> np.ndarray:
-        """The generators as a dense ``(n, dim, dim)`` stack, expanded on access."""
-        return frozen_array(self.table.assemble(np.eye(len(self))))
+        """The generators as a dense ``(n, dim, dim_in)`` stack, expanded on access."""
+        return frozen_array(self.assemble(np.eye(len(self))))
 
     def layout_fingerprint(self) -> str:
         layout = [
@@ -142,7 +141,7 @@ class CommutantBasis:
 
 @dataclass(frozen=True)
 class EquivariantLinearMap:
-    """An equivariant map as free coordinates over a commutant basis."""
+    """An equivariant map as free coordinates over a :class:`CommutantBasis`."""
 
     basis: CommutantBasis
     theta: np.ndarray
@@ -167,9 +166,7 @@ def commutant_basis(iso: IsotypicBasis) -> CommutantBasis:
     resid = iso.tolerance_report["conjugation"]
     if resid > 1e-8:
         raise ValueError(f"isotypic basis is not block-aligned with its layout (residual {resid:.3e})")
-    ends = np.cumsum([0] + [blk.multiplicity ** 2 * blk.irrep.endomorphism_dim for blk in iso.blocks])
-    slices = tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
-    return CommutantBasis(iso, _generator_table(iso.blocks, iso.blocks), slices)
+    return CommutantBasis(iso)
 
 
 def hom_basis(basis_in: IsotypicBasis, basis_out: IsotypicBasis) -> np.ndarray:
@@ -180,23 +177,21 @@ def hom_basis(basis_in: IsotypicBasis, basis_out: IsotypicBasis) -> np.ndarray:
     Generators pair copies of matching irreps; inequivalent irreps
     contribute nothing.
     """
-    if basis_in.group != basis_out.group:
-        raise ValueError("spaces carry different groups")
-    table = _generator_table(basis_out.blocks, basis_in.blocks)
-    return basis_out.q.T @ table.assemble(np.eye(table.n)) @ basis_in.q
+    basis = CommutantBasis(basis_out, basis_in)
+    return basis.matrix(np.eye(len(basis)))
 
 
 def assemble(emap: EquivariantLinearMap) -> np.ndarray:
     """Dense matrix ``sum_l theta_l B_l`` of an equivariant map (one scatter)."""
-    return emap.basis.table.assemble(emap.theta)
+    return emap.basis.assemble(emap.theta)
 
 
 def coordinates(a: np.ndarray, basis: CommutantBasis) -> np.ndarray:
     """Frobenius coordinates ``<A, B_l>`` of a matrix over a commutant basis (one gather)."""
     a = np.asarray(a, dtype=np.float64)
-    if a.shape != basis.table.shape:
-        raise ValueError(f"matrix shape {a.shape} does not match the commutant's {basis.table.shape}")
-    return basis.table.coordinates(a)
+    if a.shape != basis.shape:
+        raise ValueError(f"matrix shape {a.shape} does not match the commutant's {basis.shape}")
+    return basis.coordinates(a)
 
 
 def equivariant_project(a: np.ndarray, rep: Representation) -> np.ndarray:

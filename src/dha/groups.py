@@ -125,7 +125,8 @@ def group_from_descriptor(text: str, max_order: int = MAX_GROUP_ORDER) -> Finite
 
     Grammar: ``factor := "C" digits``, ``product := factor ("x" factor)*``.
     Parentheses are allowed but ignored since the product is associative
-    for the element-id convention used here.
+    for the element-id convention used here.  An order above ``max_order``
+    raises ``ValueError``, whatever the number of factors.
     """
     stripped = text.replace("(", "").replace(")", "").replace(" ", "")
     if not stripped:
@@ -136,7 +137,7 @@ def group_from_descriptor(text: str, max_order: int = MAX_GROUP_ORDER) -> Finite
         if m is None:
             raise ValueError(f"bad group descriptor {text!r}: token {token!r}")
         factors.append(int(m.group(1)))
-    return make_cyclic(factors[0]) if len(factors) == 1 else _product(tuple(factors), max_order)
+    return _product(tuple(factors), max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Every layer is one record holding its trained ``weight`` and ``bias``.  A
 dense layer uses them as its matrix and vector; an equivariant layer holds
-block coefficients over a generator table and coordinates in the trivial
-isotypic component, so its matrix and vector are equivariant for any
-values.  Hidden equivariant layers act on stacks of regular-representation
+coordinates over a :class:`~dha.commutant.CommutantBasis` of the maps from
+its input to its output space, so its matrix and vector are equivariant
+for any values.  Hidden equivariant layers act on stacks of regular-representation
 copies in the group-element basis, where the pointwise ``tanh`` commutes
 with the permutation action; an optional fixed orthogonal transform on the
 input or output side moves between that basis and the isotypic one.
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import _GeneratorTable, _generator_table
+from .commutant import CommutantBasis
 from .groups import Representation, regular_rep_copies
-from .isotypic import IsotypicBasis, isotypic_basis
+from .isotypic import isotypic_basis
 
 __all__ = [
     "InvalidStateError",
@@ -51,39 +51,36 @@ class TrainingDivergenceError(RuntimeError):
 class Layer:
     """One affine-plus-activation layer with trained arrays ``weight`` and ``bias``.
 
-    A dense layer (``table is None``) uses them as its matrix and vector.
-    An equivariant layer holds coordinates: ``weight`` over the
-    equivariant-map generator ``table``, so the matrix is
-    ``q_out.T @ table.assemble(weight) @ q_in`` (isotypic changes of basis
-    ``q_in``/``q_out``), and ``bias`` over ``bias_basis``; equivariance
-    holds structurally for any parameter values.
+    A dense layer (``basis is None``) uses them as its matrix and vector.
+    An equivariant layer holds coordinates over ``basis``, the maps from
+    its input space to its output space: ``weight`` over the generators, so
+    the matrix is ``basis.matrix(weight)``, and ``bias`` over
+    ``basis.trivial_columns``; equivariance holds structurally for any
+    parameter values.
     """
 
     activation: str
     weight: np.ndarray
     bias: np.ndarray
-    table: _GeneratorTable | None = field(default=None, repr=False)
-    q_in: np.ndarray | None = field(default=None, repr=False)
-    q_out: np.ndarray | None = field(default=None, repr=False)
-    bias_basis: np.ndarray | None = field(default=None, repr=False)
+    basis: CommutantBasis | None = field(default=None, repr=False)
 
     def weight_matrix(self) -> np.ndarray:
-        if self.table is None:
+        if self.basis is None:
             return self.weight
-        return self.q_out.T @ self.table.assemble(self.weight) @ self.q_in
+        return self.basis.matrix(self.weight)
 
     def bias_vector(self) -> np.ndarray:
-        if self.table is None:
+        if self.basis is None:
             return self.bias
-        return self.bias_basis @ self.bias
+        return self.basis.trivial_columns @ self.bias
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1] if self.table is None else self.q_in.shape[1]
+        return self.weight.shape[1] if self.basis is None else self.basis.iso_in.dim
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0] if self.table is None else self.q_out.shape[1]
+        return self.weight.shape[0] if self.basis is None else self.basis.iso.dim
 
 
 class _Workspace:
@@ -269,9 +266,9 @@ class Network:
             # Both add rows in order, einsum faster; sum adds a lone column pairwise.
             gb = np.einsum("ij->j", gz) if gz.shape[1] > 1 else gz.sum(axis=0)
             gw = gz.T @ cache["inputs"][i]
-            if layer.table is not None:
-                gw = layer.table.coordinates(layer.q_out @ gw @ layer.q_in.T)
-                gb = layer.bias_basis.T @ gb
+            if layer.basis is not None:
+                gw = layer.basis.matrix_coordinates(gw)
+                gb = layer.basis.trivial_columns.T @ gb
             grads[2 * i], grads[2 * i + 1] = gw, gb
             w = cache["weights"][i]
             g = np.matmul(gz, w, out=cotangent(i, w.shape[1]))
@@ -299,23 +296,6 @@ def default_hidden_width(group_order: int, in_dim: int) -> int:
     return int(np.ceil(4 * in_dim / group_order)) * group_order
 
 
-def _trivial_basis(iso: IsotypicBasis) -> np.ndarray:
-    """Orthonormal columns spanning the trivial isotypic component."""
-    for blk in iso.blocks:
-        if blk.label == "triv":
-            return iso.q[blk.slice].T.copy()
-    return np.zeros((iso.dim, 0))
-
-
-def _equivariant_layer(basis_in, basis_out, activation, rng) -> Layer:
-    table = _generator_table(basis_out.blocks, basis_in.blocks)
-    seed = _glorot(rng, basis_out.dim, basis_in.dim)
-    trivial = _trivial_basis(basis_out)
-    return Layer(activation, table.coordinates(basis_out.q @ seed @ basis_in.q.T),
-                 np.zeros(trivial.shape[1]), table=table, q_in=basis_in.q, q_out=basis_out.q,
-                 bias_basis=trivial)
-
-
 def equivariant_net(
     rep_in: Representation,
     hidden_widths,
@@ -341,7 +321,9 @@ def equivariant_net(
     layers = []
     for i in range(len(chain) - 1):
         act = hidden_activation if i < len(chain) - 2 else output_activation
-        layers.append(_equivariant_layer(chain[i], chain[i + 1], act, rng))
+        basis = CommutantBasis(chain[i + 1], chain[i])
+        weight = basis.matrix_coordinates(_glorot(rng, basis.iso.dim, basis.iso_in.dim))
+        layers.append(Layer(act, weight, np.zeros(basis.trivial_columns.shape[1]), basis))
     return Network(layers, input_transform=input_transform, output_transform=output_transform)
 
 

@@ -14,7 +14,7 @@ from dha.analysis import (
     prediction_mse,
     spectrum,
 )
-from dha.commutant import EquivariantLinearMap, assemble, commutant_basis
+from dha.commutant import CommutantBasis, EquivariantLinearMap, assemble, commutant_basis
 from dha.groups import (
     conjugate_representation,
     group_from_descriptor,
@@ -160,6 +160,10 @@ def test_dense_spectrum_fallback():
     assert sorted(np.real(report.eigenvalues[0])) == pytest.approx([0.25, 0.5])
     with pytest.raises(ValueError):
         spectrum(np.zeros((2, 3)))
+    g = make_cyclic(2)
+    hom = CommutantBasis(isotypic_basis(regular_rep_copies(g, 4)), isotypic_basis(regular_rep_copies(g, 2)))
+    with pytest.raises(ValueError, match="map a space to itself"):
+        spectrum(EquivariantLinearMap(hom, np.zeros(len(hom))))
 
 
 # ---------------------------------------------------------------------------

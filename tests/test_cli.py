@@ -328,6 +328,8 @@ def _corrupt_checkpoint(doc, case):
     elif case == "explicit_not_a_rep":
         header["rep_x"] = {"group": "C3", "kind": "explicit", "dim": 6,
                            "matrices": encode_f64(np.stack([np.eye(6), 2 * np.eye(6), np.eye(6)]))}
+    elif case == "group_order_above_cap":
+        header["rep_x"]["group"] = "C65"
     elif case == "list_document":
         return [1, 2]
     return doc
@@ -342,7 +344,8 @@ def _corrupt_checkpoint(doc, case):
      ("string_width", "width"), ("string_rep_x", "rep_x"), ("list_header", "header"),
      ("number_k_data", "k_payload.data"), ("list_document", "checkpoint"),
      ("regular_kind", "rep_x.kind"), ("wrong_k_kind", "k_payload.kind 'dense'"),
-     ("explicit_not_a_rep", "rep_x.matrices is not an orthogonal representation of C3")],
+     ("explicit_not_a_rep", "rep_x.matrices is not an orthogonal representation of C3"),
+     ("group_order_above_cap", "product order 65 exceeds the configured maximum 64")],
 )
 def test_corrupt_checkpoint_exit_codes(tmp_path, capsys, case, message):
     doc = _corrupt_checkpoint(json.loads(CHECKPOINT.read_text()), case)
@@ -387,7 +390,8 @@ def test_config_rejects_unknown_variant(tmp_path):
      ("negative_n_test", {}, ["dataset.n_test=-1"], "'dataset.n_test'"),
      ("zero_horizon", {}, ["dataset.horizon=0"], "'dataset.horizon'"),
      ("zero_eval_horizon", {}, ["eval_horizon=0"], "'eval_horizon'"),
-     ("reversed_init_box", {}, ["dataset.init_box=[0.5,-1]"], "init_box")],
+     ("reversed_init_box", {}, ["dataset.init_box=[0.5,-1]"], "init_box"),
+     ("group_order_above_cap", {}, ["group=C65"], "product order 65 exceeds the configured maximum 64")],
 )
 def test_bad_config_exit_codes(tmp_path, capsys, case, fields, flags, message):
     path = write_config(tmp_path, **fields)
@@ -461,7 +465,8 @@ def test_eval_rejects_horizon_below_one(tmp_path, capsys, horizon):
      ("samples", "20.5", [], "max_windows"),
      ("latent_dim", "4,7", [], "latent_dim"),
      ("state_dim", "4,5", [], "state_dim"),
-     ("sigma", "0.01", ["dataset.init_box=[0.5,-1]"], "init_box")],
+     ("sigma", "0.01", ["dataset.init_box=[0.5,-1]"], "init_box"),
+     ("samples", "64,64", [], "sweep values must be distinct")],
 )
 def test_sweep_points_are_checked_configs(tmp_path, capsys, axis, values, flags, message):
     path = write_config(tmp_path, variants=["eedmd", "edae"],

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dha.commutant import (
+    CommutantBasis,
     EquivariantLinearMap,
     assemble,
     commutant_basis,
@@ -92,8 +93,12 @@ def case(request):
     return spaces(request.param)
 
 
+#: (input space, output space) pairs of :func:`spaces`, square and not.
+HOM_PAIRS = (("a", "b"), ("b", "a"), ("c", "a"), ("a", "c"), ("c", "b"))
+
+
 def test_hom_basis_matches_oracle(case):
-    for src, dst in (("a", "b"), ("b", "a"), ("c", "a"), ("a", "c"), ("c", "b")):
+    for src, dst in HOM_PAIRS:
         iso_in, iso_out = case[src][1], case[dst][1]
         hb = hom_basis(iso_in, iso_out)
         assert rel_err(hb, oracle_hom_basis(iso_in, iso_out)) <= TOL, (src, dst)
@@ -107,6 +112,20 @@ def test_commutant_basis_matches_oracle(case):
         assert len(cb) == ref.shape[0]
         assert rel_err(cb.basis_matrices, ref) <= TOL
         assert cb.block_slices[-1].stop == len(cb)
+    rng = np.random.default_rng(4)
+    for src, dst in HOM_PAIRS:
+        iso_in, iso_out = case[src][1], case[dst][1]
+        hb = CommutantBasis(iso_out, iso_in)
+        ref = oracle_generators(iso_out.blocks, iso_in.blocks, iso_out.dim, iso_in.dim)
+        assert len(hb) == ref.shape[0], (src, dst)
+        assert rel_err(hb.basis_matrices, ref) <= TOL, (src, dst)
+        tiled = [l for sl in hb.block_slices for l in range(len(hb))[sl]]
+        assert len(hb.block_slices) == len(iso_out.blocks) and tiled == list(range(len(hb))), (src, dst)
+        dense = oracle_hom_basis(iso_in, iso_out)
+        theta = rng.standard_normal(len(hb))
+        assert rel_err(hb.matrix(theta), np.tensordot(theta, dense, axes=1)) <= TOL, (src, dst)
+        a = rng.standard_normal((iso_out.dim, iso_in.dim))
+        assert rel_err(hb.matrix_coordinates(a), np.tensordot(dense, a, axes=([1, 2], [0, 1]))) <= TOL, (src, dst)
 
 
 def test_assemble_and_coordinates_match_oracle(case):

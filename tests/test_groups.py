@@ -157,6 +157,9 @@ def test_descriptor_product_cap():
     with pytest.raises(ValueError, match="product order 128 exceeds the configured maximum 64"):
         group_from_descriptor("C16xC8")
     assert group_from_descriptor("C16xC8", max_order=128).order == 128
+    with pytest.raises(ValueError, match="product order 65 exceeds the configured maximum 64"):
+        group_from_descriptor("C65")
+    assert group_from_descriptor("C65", max_order=65).order == 65
 
 
 # ---------------------------------------------------------------------------

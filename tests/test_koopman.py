@@ -568,7 +568,7 @@ def test_edae_with_dense_decoder(tmp_path):
 
     system, ds = make_dataset(desc="C2", m=4, sigma=0.01, horizon=15)
     model = train("edae", ds, TrainConfig(latent_dim=8, horizon=3, epochs=2, seed=1, decoder_equivariant=False))
-    assert model.decoder.layers[0].table is None and model.encoder.layers[0].table is not None
+    assert model.decoder.layers[0].basis is None and model.encoder.layers[0].basis is not None
     assert net_equivariance_residual(model.encoder, system.rep_x, model.latent_iso.rotated_rep(), seed=2) <= 1e-9
     path = tmp_path / "model.json"
     save_model(model, path)

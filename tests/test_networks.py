@@ -142,7 +142,7 @@ def test_output_rep_without_trivial_component_has_no_bias():
     rep_out = rep_direct_sum([sign] * 3)
     net = equivariant_net(rep_in, [4], rep_out, rng)
     last = net.layers[-1]
-    assert last.bias.shape == (0,) and last.bias_basis.shape == (3, 0)
+    assert last.bias.shape == (0,) and last.basis.trivial_columns.shape == (3, 0)
     assert np.array_equal(last.bias_vector(), np.zeros(3))
     assert net_equivariance_residual(net, rep_in, rep_out, seed=5) <= 1e-9
     x = rng.standard_normal((5, 4))

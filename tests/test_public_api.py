@@ -38,7 +38,7 @@ def test_public_api_is_pinned():
 
 #: ``dataclasses.fields`` names of every public record, in order.
 PUBLIC_FIELDS = {
-    "CommutantBasis": ["iso", "table", "block_slices"],
+    "CommutantBasis": ["iso", "iso_in"],
     "EnergyDecomposition": ["time", "block_labels", "block_energy", "total"],
     "EquivariantLinearMap": ["basis", "theta"],
     "FiniteGroup": ["factors"],
@@ -48,7 +48,7 @@ PUBLIC_FIELDS = {
     "IsotypicBlock": ["irrep", "multiplicity", "offset"],
     "KoopmanModel": ["variant", "rep_x", "k_matrix", "observable", "encoder", "decoder", "k_map",
                      "config", "training_report", "params"],
-    "Layer": ["activation", "weight", "bias", "table", "q_in", "q_out", "bias_basis"],
+    "Layer": ["activation", "weight", "bias", "basis"],
     "PredictionError": ["horizon", "per_horizon_mse", "aggregate", "per_copy", "per_copy_counts"],
     "Representation": ["group", "matrices", "space_label"],
     "SpectrumReport": ["block_labels", "eigenvalues", "eigenvectors", "spectral_radius", "orbit_residual"],

@@ -69,9 +69,9 @@ def oracle_backward(net, cache, output_cotangent):
         layer = net.layers[i]
         gz = g * _act_grad_from_output(layer.activation, cache["outputs"][i])
         gw, gb = gz.T @ cache["inputs"][i], gz.sum(axis=0)
-        if layer.table is not None:
-            gw = layer.table.coordinates(layer.q_out @ gw @ layer.q_in.T)
-            gb = layer.bias_basis.T @ gb
+        if layer.basis is not None:
+            gw = layer.basis.coordinates(layer.basis.iso.q @ gw @ layer.basis.iso_in.q.T)
+            gb = layer.basis.trivial_columns.T @ gb
         grads[2 * i], grads[2 * i + 1] = gw, gb
         g = gz @ cache["weights"][i]
     if net.input_transform is not None:
